@@ -17,6 +17,7 @@ from .errors import (
     ChainingError,
     ZeroInputCycleError,
     CertificateError,
+    CrossCheckError,
     ParseError,
 )
 from .f2cat import F2Matrix, LabeledSet, compose, tensor_power_finite
@@ -53,6 +54,7 @@ __all__ = [
     "ChainingError",
     "ZeroInputCycleError",
     "CertificateError",
+    "CrossCheckError",
     "ParseError",
     "F2Matrix",
     "LabeledSet",

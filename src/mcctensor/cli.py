@@ -2,18 +2,20 @@
 computation, and matrix/window file plumbing in the stable text formats.
 
 Every command prints a run report as JSON with sorted keys and exits 0
-exactly when all of its checks pass.  Parse and validation failures exit
-nonzero with the error captured in the report.  Randomized suites take an
+exactly when all of its checks pass.  Parse and validation failures exit 2
+with the error captured in the report; a failed internal cross-check
+(CrossCheckError) exits 1.  Randomized suites take an
 explicit --seed; changing the seed changes case selection, never pass/fail.
 """
 
 import argparse
 import json
 import random
+import re
 import sys
 import time
 
-from .errors import CertificateError, MccError
+from .errors import CertificateError, CrossCheckError, MccError
 from .f2cat import F2Matrix, LabeledSet, compose, parse_matrix
 from .mcc import MccWindow, apply_mcc, dump_window, load_window
 from .solenoidal import (
@@ -82,10 +84,19 @@ class Suite:
         return all(c["status"] == "pass" for c in self.checks)
 
 
+MS_WIDTH = 7
+# a check's "ms" line in the report, as json.dumps(indent=2) writes the
+# entries of the top-level "checks" list
+_CHECK_MS = re.compile(r'^(      "ms": )(\d+)', re.M)
+
+
 def _emit(report):
     checks = report.get("checks", [])
     report["ok"] = all(c["status"] == "pass" for c in checks)
-    print(json.dumps(_jsonable(report), indent=2, sort_keys=True))
+    text = json.dumps(_jsonable(report), indent=2, sort_keys=True)
+    # right-align the timings, so that the report's size does not depend on
+    # the clock; JSON allows the whitespace before a value
+    print(_CHECK_MS.sub(lambda m: m.group(1) + m.group(2).rjust(MS_WIDTH), text))
     return 0 if report["ok"] else 1
 
 
@@ -473,11 +484,16 @@ def main(argv=None):
         return 2
     try:
         return args.func(args)
+    except CrossCheckError as e:
+        # an internal cross-check failed: a failed check, not bad input
+        error = {"type": type(e).__name__, "message": str(e), "witness": e.values}
+        code = 1
     except (MccError, OSError, ValueError, AssertionError) as e:
-        report = {"command": getattr(args, "cmd", None), "ok": False,
-                  "error": {"type": type(e).__name__, "message": str(e)}}
-        print(json.dumps(_jsonable(report), indent=2, sort_keys=True))
-        return 2
+        error = {"type": type(e).__name__, "message": str(e)}
+        code = 2
+    report = {"command": getattr(args, "cmd", None), "ok": False, "error": error}
+    print(json.dumps(_jsonable(report), indent=2, sort_keys=True))
+    return code
 
 
 if __name__ == "__main__":

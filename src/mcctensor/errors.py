@@ -78,6 +78,16 @@ class CertificateError(MccError):
         self.report = report
 
 
+class CrossCheckError(MccError):
+    """Two independent computations of one quantity disagree: an internal
+    invariant failed, not the input.  `values` maps each side of the
+    comparison to what it computed."""
+
+    def __init__(self, message, values=None):
+        super().__init__(message)
+        self.values = values or {}
+
+
 class ParseError(MccError):
     """A text artifact failed to parse; `line` is the 1-based line number."""
 

@@ -203,13 +203,33 @@ def apply(m, table):
     return frozenset(out)
 
 
+def product_indices(choices, radix):
+    """Packed indices of the words in a product of per-position choices.
+
+    `choices[k]` lists the digits (each < `radix`) allowed at position k.
+    Every word of the product is packed as a base-`radix` integer, position
+    0 most significant, so that sorted digit lists give the indices in
+    increasing (lexicographic) order.  An empty position gives no words, and
+    no positions give the single empty word, index 0.  The work is the
+    number of prefixes of the product: at most len(choices) per word.
+    """
+    out = [0]
+    for digits in choices:
+        out = [i * radix + d for i in out for d in digits]
+    return out
+
+
 def tensor_power_finite(m, x, max_entries=DEFAULT_ENTRY_CAP):
     """The finite tensor power M^{tensor X} for a labeled finite set X.
 
     Rows are Fun(X, C) and columns Fun(X, B), both enumerated in
     lexicographic order: positions follow X's label order, values follow the
     row/column label order of M.  The empty X gives the 1x1 identity on the
-    single empty function.  Entry at (g, f) is prod_x M(g(x), f(x)).
+    single empty function.  Entry at (g, f) is prod_x M(g(x), f(x)), so row
+    g's set bits are the column words in the product over positions x of
+    rowsupp(g(x)) = {b : M(g(x), b) = 1}, packed by `product_indices`.
+    Cost: O(|C|^|X| * |X|) plus the number of nonzero entries, not
+    |C|^|X| * |B|^|X| * |X|.
     """
     if not isinstance(x, LabeledSet):
         x = LabeledSet(x)
@@ -219,28 +239,14 @@ def tensor_power_finite(m, x, max_entries=DEFAULT_ENTRY_CAP):
     if n_rows * n_cols > max_entries:
         raise SizeCapError(
             f"tensor power would have {n_rows}x{n_cols} entries, over the cap {max_entries}")
-    if n == 0:
-        empty = LabeledSet([""])
-        return F2Matrix(empty, empty, [1])
-
-    col_words = list(itertools.product(range(len(m.cols)), repeat=n))
-    row_words = itertools.product(range(len(m.rows)), repeat=n)
-    ent = [[(m.bits[i] >> j) & 1 for j in range(len(m.cols))]
-           for i in range(len(m.rows))]
-    bits = []
-    for g in row_words:
-        rowbits = 0
-        for jj, f in enumerate(col_words):
-            for gi, fi in zip(g, f):
-                if not ent[gi][fi]:
-                    break
-            else:
-                rowbits |= 1 << jj
-        bits.append(rowbits)
-    rows = LabeledSet(word_label(tuple(m.rows.labels[i] for i in g))
-                      for g in itertools.product(range(len(m.rows)), repeat=n))
+    n_b = len(m.cols)
+    rowsupp = [[j for j in range(n_b) if (b >> j) & 1] for b in m.bits]
+    row_words = list(itertools.product(range(len(m.rows)), repeat=n))
+    bits = [sum(1 << jj for jj in product_indices([rowsupp[i] for i in g], n_b))
+            for g in row_words]
+    rows = LabeledSet(word_label(tuple(m.rows.labels[i] for i in g)) for g in row_words)
     cols = LabeledSet(word_label(tuple(m.cols.labels[j] for j in f))
-                      for f in col_words)
+                      for f in itertools.product(range(n_b), repeat=n))
     return F2Matrix(rows, cols, bits)
 
 

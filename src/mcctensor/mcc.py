@@ -22,10 +22,10 @@ import itertools
 import math
 
 from . import towers as _tw
-from .errors import (DepthError, InvarianceError, LabelMismatchError,
+from .errors import (CrossCheckError, DepthError, LabelMismatchError,
                      MccError, ParseError, SizeCapError, StabilityError,
                      TowerValidationError)
-from .f2cat import F2Matrix, LabeledSet
+from .f2cat import LabeledSet, product_indices
 
 SECTOR_ENUM_CAP = 1 << 16
 
@@ -107,7 +107,12 @@ class MccWindow:
         return self.at_depth(d).support == other.at_depth(d).support
 
     def __hash__(self):
-        return hash((self.basis, self.depth, self.support))
+        # the canonical form: the support compressed to the deepest level
+        # any word needs, which pulling back (at_depth) leaves unchanged
+        tower, depth = self.tower, self.depth
+        top = max((tower.factor_level(w, depth) for w in self.support), default=0)
+        return hash((self.basis, top, frozenset(
+            tower.compress_word(w, depth, top) for w in self.support)))
 
     def __repr__(self):
         words = sorted("".join(w) if all(len(x) == 1 for x in w) else str(w)
@@ -127,6 +132,16 @@ def apply_mcc(matrix, window, out_depth):
     basis.  The result is the exact depth-`out_depth` restriction of
     M^{tensor X} applied to the represented element, obtained by working at
     level max(window.depth, out_depth) where both sides are finite tensors.
+
+    An output word g gets prod_i M(g(up(i)), f(i)) from a support word f
+    pulled up to the working level, where up maps a working position to its
+    image at `out_depth`.  That product is 1 exactly when, for every output
+    position j, g(j) lies in the intersection over the fiber up^-1(j) of
+    colsupp(f(i)) = {c : M(c, f(i)) = 1}.  So each support word contributes
+    the product of those intersections, and the output is the F2 sum (XOR)
+    of these products, enumerated by `product_indices`.  Cost:
+    O(|support| * |X_work| + terms), where terms counts the words in the
+    products, instead of scanning all |C|^|X_out| output words.
     """
     if matrix.cols != window.basis:
         raise LabelMismatchError(
@@ -135,27 +150,49 @@ def apply_mcc(matrix, window, out_depth):
     tower = window.tower
     tower.level(out_depth)
     work = max(window.depth, out_depth)
-    n = tower.size(work)
-    pulled = [tower.pull_word(w, window.depth, work) for w in window.support]
-    ent = {(c, b): matrix.entry(c, b)
-           for c in matrix.rows.labels for b in matrix.cols.labels}
-    up = tower.up_index(out_depth, work)
+    # fiber(j), read on the unpulled support word: the window positions
+    # under the working positions over output position j
+    pull = tower.up_index(window.depth, work)
+    fibers = [set() for _ in range(tower.size(out_depth))]
+    for i, j in enumerate(tower.up_index(out_depth, work)):
+        fibers[j].add(pull[i])
+    # colsupp as a bitmask over the output basis, for each input letter
+    colsupp = {b: sum(1 << c for c, row in enumerate(matrix.bits)
+                      if (row >> k) & 1)
+               for k, b in enumerate(matrix.cols.labels)}
+    n_c = len(matrix.rows)
+    digits = {}  # bitmask -> its set bits, the choices at one position
+    packed = set()
+    for f in window.support:
+        choices = []
+        for fiber in fibers:
+            allowed = -1
+            for i in fiber:
+                allowed &= colsupp[f[i]]
+            if not allowed:
+                break
+            if allowed not in digits:
+                digits[allowed] = [c for c in range(n_c) if (allowed >> c) & 1]
+            choices.append(digits[allowed])
+        else:
+            packed.symmetric_difference_update(product_indices(choices, n_c))
+    labels = matrix.rows.labels
     out_support = set()
-    for g in tower.words(out_depth, matrix.rows.labels):
-        g_up = tuple(g[j] for j in up)
-        val = 0
-        for f in pulled:
-            for i in range(n):
-                if not ent[(g_up[i], f[i])]:
-                    break
-            else:
-                val ^= 1
-        if val:
-            out_support.add(g)
+    for p in packed:
+        word = []
+        for _ in fibers:
+            p, c = divmod(p, n_c)
+            word.append(labels[c])
+        out_support.add(tuple(reversed(word)))
     out = MccWindow(tower, matrix.rows, out_depth, out_support)
     # the action cannot create invariance failures below the input's level
-    assert out.inv_level <= min(window.inv_level, out_depth), \
-        "tensor-power action broke the invariance level"
+    bound = min(window.inv_level, out_depth)
+    if out.inv_level > bound:
+        raise CrossCheckError(
+            f"tensor-power action broke the invariance level: output level "
+            f"{out.inv_level} exceeds the bound {bound}",
+            values={"output_inv_level": out.inv_level,
+                    "input_inv_level": window.inv_level, "out_depth": out_depth})
     return out
 
 
@@ -187,7 +224,9 @@ def sector_project(window, part_of_basis, allowed, enum_cap=SECTOR_ENUM_CAP):
     `part_of_basis` maps basis labels to part labels; `allowed` takes a word
     of part labels at the window's depth.  The predicate must be stable under
     the tower action at the window's invariance level — validated over the
-    full part-word space, with a witness orbit pair on failure.
+    full part-word space against the kernel's generators (stable under each
+    generator means constant on every orbit), with a witness orbit pair on
+    failure.
     """
     miss = [b for b in window.basis.labels if b not in part_of_basis]
     if miss:
@@ -198,10 +237,10 @@ def sector_project(window, part_of_basis, allowed, enum_cap=SECTOR_ENUM_CAP):
     if n_words > enum_cap:
         raise SizeCapError(
             f"sector stability check needs {n_words} part words, over the cap {enum_cap}")
-    kern = tower.kernel(depth, min(window.inv_level, depth))
+    gens = tower.kernel_generators(depth, min(window.inv_level, depth))
     for alpha in itertools.product(parts, repeat=tower.size(depth)):
         v = bool(allowed(alpha))
-        for sigma in kern:
+        for sigma in gens:
             moved = _tw.act_word(sigma, alpha)
             if bool(allowed(moved)) != v:
                 raise StabilityError(

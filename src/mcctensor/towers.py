@@ -12,7 +12,8 @@ Functions X_m -> B ("words") model germs of functions on the inverse limit:
 a word at level m pulls back to every deeper level.  The kernel subgroup
 K(m, h) — level-m action elements that project to the identity at level h —
 plays the role of the scale-h stabilizer: a word (or an F2 table of words)
-is "level-h invariant" when K(m, h) fixes it.
+is "level-h invariant" when K(m, h) fixes it, which is tested on a small
+generating set of K(m, h).
 
 cc_sum evaluates the conditionally convergent sum of an F2 table over the
 level-h fixed words; for tables invariant at the summation level the result
@@ -24,8 +25,8 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import (DepthError, InvarianceError, MissingShiftError,
-                     ParseError, TowerValidationError)
+from .errors import (CrossCheckError, DepthError, InvarianceError,
+                     MissingShiftError, ParseError, TowerValidationError)
 from .f2cat import LabeledSet
 
 GROUP_SIZE_CAP = 1 << 13
@@ -34,8 +35,8 @@ GROUP_SIZE_CAP = 1 << 13
 def act_word(perm, word):
     """Apply a level permutation to a word: (g.f)(g(x)) = f(x)."""
     out = [None] * len(word)
-    for i, v in enumerate(word):
-        out[perm[i]] = v
+    for i, v in zip(perm, word):
+        out[i] = v
     return tuple(out)
 
 
@@ -53,6 +54,27 @@ def _perm_from_mapping(mapping, labels):
     if sorted(perm) != list(range(len(labels))):
         raise TowerValidationError("permutation is not a bijection")
     return tuple(perm)
+
+
+def _close(elements, gens, what):
+    """The set of permutations `elements` closed under left multiplication
+    by `gens` (breadth-first); for a finite group containing `elements` and
+    generated with them by `gens`, that is the generated subgroup."""
+    seen = set(elements)
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = tuple(g[p[i]] for i in range(len(p)))
+                if q not in seen:
+                    if len(seen) >= GROUP_SIZE_CAP:
+                        raise TowerValidationError(
+                            f"{what} exceeds size cap {GROUP_SIZE_CAP}")
+                    seen.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return seen
 
 
 class DyadicTower:
@@ -121,6 +143,7 @@ class DyadicTower:
 
         self._groups = {}
         self._kernels = {}
+        self._kernel_gens = {}
         self._up = {}
         self._validate()
 
@@ -212,21 +235,7 @@ class DyadicTower:
         self.level(m)
         if m not in self._groups:
             gens = [self.gens[g][m] for g in self.gen_names]
-            ident = tuple(range(self.size(m)))
-            seen = {ident}
-            frontier = [ident]
-            while frontier:
-                nxt = []
-                for p in frontier:
-                    for g in gens:
-                        q = tuple(g[p[i]] for i in range(len(p)))
-                        if q not in seen:
-                            if len(seen) >= GROUP_SIZE_CAP:
-                                raise TowerValidationError(
-                                    f"level-{m} group exceeds size cap {GROUP_SIZE_CAP}")
-                            seen.add(q)
-                            nxt.append(q)
-                frontier = nxt
+            seen = _close({tuple(range(self.size(m)))}, gens, f"level-{m} group")
             self._groups[m] = tuple(sorted(seen))
         return self._groups[m]
 
@@ -243,6 +252,26 @@ class DyadicTower:
                 sigma for sigma in self.group(m)
                 if all(up[sigma[i]] == up[i] for i in range(len(sigma))))
         return self._kernels[key]
+
+    def kernel_generators(self, m, h):
+        """A generating set of K(m, h), at most log2 |K(m, h)| elements.
+
+        Kernel elements are taken in `kernel` order and one is kept only
+        when it lies outside the subgroup the kept ones generate; each kept
+        element at least doubles that subgroup (Lagrange).  A table or word
+        is fixed by K(m, h) iff it is fixed by these generators, so the
+        invariance searches test these and not the whole kernel.  Computed
+        on first use and cached.
+        """
+        key = (m, h)
+        if key not in self._kernel_gens:
+            gens, closure = [], {tuple(range(self.size(m)))}
+            for sigma in self.kernel(m, h):
+                if sigma not in closure:
+                    gens.append(sigma)
+                    closure = _close(closure, gens, f"K({m}, {h})")
+            self._kernel_gens[key] = tuple(gens)
+        return self._kernel_gens[key]
 
     # -- structural validation ----------------------------------------------------
 
@@ -341,32 +370,33 @@ def dyadic_solenoid(max_level, copies=1):
 # -- invariance and the conditionally convergent sum --------------------------------
 
 def invariance_level(tower, word, m):
-    """Smallest h with the level-m word fixed by the kernel K(m, h)."""
+    """Smallest h with the level-m word fixed by the kernel K(m, h), tested
+    on the kernel's generators."""
     for h in range(m + 1):
-        if all(act_word(s, word) == word for s in tower.kernel(m, h)):
+        if all(act_word(s, word) == word for s in tower.kernel_generators(m, h)):
             return h
     return m
 
 
 def invariance_level_table(tower, support, m):
     """Smallest h with the F2 table (a support set of level-m words) fixed
-    by the induced K(m, h) action on words."""
+    by the induced K(m, h) action on words.  A permutation maps a finite
+    set into itself iff onto itself, so invariance under the kernel's
+    generators is invariance under the kernel."""
     support = frozenset(support)
     for h in range(m + 1):
-        ok = True
-        for s in tower.kernel(m, h):
-            if any(act_word(s, w) not in support for w in support):
-                ok = False
-                break
-        if ok:
+        if all(act_word(s, w) in support
+               for s in tower.kernel_generators(m, h) for w in support):
             return h
     return m
 
 
 def _invariance_witness(tower, support, m, h):
-    """A violating orbit pair (w, g.w) if the table is not K(m, h)-invariant."""
-    for s in tower.kernel(m, h):
-        for w in sorted(support):
+    """A violating orbit pair (w, g.w), g a generator of K(m, h), if the
+    table is not K(m, h)-invariant."""
+    words = sorted(support)
+    for s in tower.kernel_generators(m, h):
+        for w in words:
             moved = act_word(s, w)
             if moved not in support:
                 return (w, moved)
@@ -378,9 +408,10 @@ def cc_sum(tower, basis_labels, support, depth, level, _recheck=True):
 
     The table is the extension by zero of `support` (level-`depth` words over
     `basis_labels`); the sum runs over the words fixed by the scale-`level`
-    stabilizer.  The table must itself be invariant at that scale — validated
-    eagerly, with a violating orbit pair in the error — and the result is
-    independent of the level, re-checked here by recomputing one level deeper.
+    stabilizer, that is, by its generators.  The table must itself be
+    invariant at that scale — validated eagerly, with a violating orbit pair
+    in the error — and the result is independent of the level, re-checked
+    here by recomputing one level deeper (CrossCheckError on a mismatch).
     """
     basis = set(basis_labels)
     support = frozenset(tuple(w) for w in support)
@@ -397,14 +428,18 @@ def cc_sum(tower, basis_labels, support, depth, level, _recheck=True):
             f"table is not invariant at level {level}: words {witness[0]!r} and "
             f"{witness[1]!r} lie in one orbit but only one is in the support",
             pair=witness)
-    kern = tower.kernel(depth, eff)
+    gens = tower.kernel_generators(depth, eff)
     total = 0
     for w in support:
-        if all(act_word(s, w) == w for s in kern):
+        if all(act_word(s, w) == w for s in gens):
             total ^= 1
     if _recheck and level < depth:
         deeper = cc_sum(tower, basis_labels, support, depth, level + 1, _recheck=False)
-        assert deeper == total, "conditionally convergent sum changed across levels"
+        if deeper != total:
+            raise CrossCheckError(
+                f"conditionally convergent sum changed across levels: {total} at "
+                f"level {level}, {deeper} at level {level + 1}",
+                values={f"level {level}": total, f"level {level + 1}": deeper})
     return total
 
 

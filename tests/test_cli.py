@@ -1,10 +1,12 @@
 """Command-line entry points: report shapes, golden outputs, exit codes."""
 
 import copy
+import itertools
 import json
 
 import pytest
 
+import mcctensor.cli
 from mcctensor.cli import main
 from mcctensor.floer import golden_box_text
 from mcctensor.mcc import load_window
@@ -213,3 +215,33 @@ def test_missing_subcommand_prints_help(capsys):
 def test_unknown_file_errors_cleanly(capsys, tmp_path):
     code, rep = run_json(capsys, "hh", str(tmp_path / "nope.json"))
     assert code == 2 and rep["ok"] is False
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["dims", "fig8", "3"]])
+def test_report_size_does_not_depend_on_check_times(capsys, monkeypatch, argv):
+    """Every check takes 3 ms in one run and 3000 ms in the other; the
+    fixed-width ms field keeps the report the same length."""
+    lengths = []
+    for step in (0.0035, 3.0005):
+        clock = itertools.count(0.0, step)
+        monkeypatch.setattr(mcctensor.cli.time, "monotonic", lambda: next(clock))
+        code, out = run(capsys, *argv)
+        monkeypatch.undo()
+        assert code == 0
+        ms = {c["ms"] for c in json.loads(out)["checks"]}
+        assert ms == {int(step * 1000)}
+        lengths.append(len(out.encode("utf-8")))
+    assert lengths[0] == lengths[1]
+
+
+def test_failed_cross_check_exits_1_not_2(capsys, monkeypatch, tmp_path):
+    mat, win = write_swap_fixtures(tmp_path)
+    # every table reads as invariant only at its own depth: the depth-2
+    # output then exceeds the input's invariance level 1
+    monkeypatch.setattr(mcctensor.mcc._tw, "invariance_level_table",
+                        lambda tower, support, m: m)
+    code, rep = run_json(capsys, "mcc", "apply", mat, win, "--depth", "2")
+    assert code == 1
+    assert rep["ok"] is False
+    assert rep["error"]["type"] == "CrossCheckError"
+    assert rep["error"]["witness"]["output_inv_level"] == 2

@@ -1,12 +1,17 @@
 """Windows, the tensor-power action, sectors, staircase positions, probes."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mcctensor.errors import (DepthError, InvarianceError, LabelMismatchError,
+from mcctensor import mcc as mcc_module
+from mcctensor.errors import (CrossCheckError, DepthError, InvarianceError,
+                              LabelMismatchError,
                               MccError, ParseError, SizeCapError,
                               StabilityError, TowerValidationError)
 from mcctensor.f2cat import (F2Matrix, LabeledSet, apply, compose, invert,
@@ -141,6 +146,67 @@ def test_apply_mcc_functorial_at_or_above_window_depth(case):
     lhs = apply_mcc(compose(n, m), w, d)
     rhs = apply_mcc(n, apply_mcc(m, w, d), d)
     assert lhs == rhs
+
+
+@st.composite
+def windows_and_deeper(draw):
+    depth = draw(st.integers(0, 3))
+    size = TOWER.size(depth)
+    support = draw(st.sets(st.tuples(*[st.sampled_from("xy")] * size), max_size=5))
+    return MccWindow(TOWER, XY, depth, support), draw(st.integers(depth, 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(windows_and_deeper())
+def test_window_hash_agrees_with_eq_across_depths(case):
+    a, d = case
+    b = a.at_depth(d)
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+def test_apply_mcc_invariance_bound_is_a_cross_check(monkeypatch):
+    # every table reads as invariant only at its own depth, so the output at
+    # depth 2 claims level 2 against an input at level 1
+    monkeypatch.setattr(mcc_module._tw, "invariance_level_table",
+                        lambda tower, support, m: m)
+    with pytest.raises(CrossCheckError) as e:
+        apply_mcc(swap_matrix(), win(1, "xy"), 2)
+    assert e.value.values == {"output_inv_level": 2, "input_inv_level": 1,
+                              "out_depth": 2}
+
+
+OPTIMIZED_PROBE = """
+from mcctensor import mcc, towers
+from mcctensor.errors import CrossCheckError
+from mcctensor.f2cat import F2Matrix, LabeledSet
+
+tower = towers.dyadic_solenoid(2)
+xy = LabeledSet(["x", "y"])
+swap = F2Matrix.from_rows(xy, xy, [[0, 1], [1, 0]])
+window = mcc.MccWindow(tower, xy, 1, {("x", "y")})
+cc_sum = towers.cc_sum
+towers.cc_sum = lambda *a, _recheck=True, **k: cc_sum(*a, _recheck=_recheck, **k) ^ 1
+try:
+    cc_sum(tower, ("x", "y"), {("x", "x")}, 1, 0)
+except CrossCheckError:
+    print("cc_sum recheck raised")
+towers.invariance_level_table = lambda tower, support, m: m
+try:
+    mcc.apply_mcc(swap, window, 2)
+except CrossCheckError:
+    print("apply_mcc bound raised")
+"""
+
+
+def test_cross_checks_survive_optimized_mode():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_PROBE], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["cc_sum recheck raised", "apply_mcc bound raised"]
 
 
 def test_apply_mcc_invertible_roundtrip():

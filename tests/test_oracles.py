@@ -1,0 +1,284 @@
+"""One oracle table for the fast paths.
+
+Each row compares a fast path in `src/` with the enumeration it replaced,
+kept here as the oracle, on shared Hypothesis strategies at small sizes.
+
+    fast path                         oracle (here)                    strategy        size bound
+    apply_mcc, fiber products         scan_apply_mcc, every out word   apply_cases     C^X_out <= 512
+    tensor_power_finite, row products loop_tensor_power, every entry   tensor_cases    |X| <= 4
+    invariance_level(_table), gens    kernel_invariance_level(_table)  tower_tables    depth <= 3
+    cc_sum, generators                kernel_fixed_word_sum            tower_tables    depth <= 3
+    sector_project stability, gens    kernel_unstable                  towers, tables  2^|X| <= 16
+    kernel_generators                 closure equals kernel            TOWERS          every (m, h)
+
+The towers are the plain solenoid, two parallel solenoids and a parsed
+tower whose level-2 group is dihedral of order 8, so that its kernels are
+not cyclic.
+"""
+
+import itertools
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mcctensor.errors import InvarianceError, StabilityError
+from mcctensor.f2cat import F2Matrix, LabeledSet, tensor_power_finite, word_label
+from mcctensor.mcc import MccWindow, apply_mcc, sector_project
+from mcctensor.towers import (act_word, cc_sum, dyadic_solenoid,
+                              invariance_level, invariance_level_table,
+                              parse_tower)
+
+DIHEDRAL_TEXT = """\
+levels: 3
+level 0: r
+level 1: a b
+level 2: a0 a1 b0 b1
+proj 1:
+a -> r
+b -> r
+proj 2:
+a0 -> a
+a1 -> a
+b0 -> b
+b1 -> b
+gen s 1: (a b)
+gen s 2: (a0 b0)(a1 b1)
+gen t 2: (a0 a1)
+"""
+
+TOWERS = {
+    "dyadic 3": dyadic_solenoid(3),
+    "dyadic 2 x2": dyadic_solenoid(2, copies=2),
+    "parsed dihedral": parse_tower(DIHEDRAL_TEXT),
+}
+SCAN_CAP = 512
+
+
+# -- oracles: the enumerations the fast paths replaced ----------------------------
+
+def scan_apply_mcc(matrix, window, out_depth):
+    """Support of the action, testing every output word against every
+    support word pulled up to the working level."""
+    tower = window.tower
+    work = max(window.depth, out_depth)
+    n = tower.size(work)
+    pulled = [tower.pull_word(w, window.depth, work) for w in window.support]
+    ent = {(c, b): matrix.entry(c, b)
+           for c in matrix.rows.labels for b in matrix.cols.labels}
+    up = tower.up_index(out_depth, work)
+    out = set()
+    for g in tower.words(out_depth, matrix.rows.labels):
+        g_up = tuple(g[j] for j in up)
+        val = 0
+        for f in pulled:
+            for i in range(n):
+                if not ent[(g_up[i], f[i])]:
+                    break
+            else:
+                val ^= 1
+        if val:
+            out.add(g)
+    return frozenset(out)
+
+
+def loop_tensor_power(m, x):
+    """M^{tensor X}, every entry a product over the positions."""
+    n = len(x)
+    col_words = list(itertools.product(range(len(m.cols)), repeat=n))
+    row_words = list(itertools.product(range(len(m.rows)), repeat=n))
+    bits = []
+    for g in row_words:
+        rowbits = 0
+        for jj, f in enumerate(col_words):
+            if all((m.bits[gi] >> fi) & 1 for gi, fi in zip(g, f)):
+                rowbits |= 1 << jj
+        bits.append(rowbits)
+    rows = LabeledSet(word_label(tuple(m.rows.labels[i] for i in g)) for g in row_words)
+    cols = LabeledSet(word_label(tuple(m.cols.labels[j] for j in f)) for f in col_words)
+    return F2Matrix(rows, cols, bits)
+
+
+def kernel_invariance_level(tower, word, m):
+    for h in range(m + 1):
+        if all(act_word(s, word) == word for s in tower.kernel(m, h)):
+            return h
+    return m
+
+
+def kernel_invariance_level_table(tower, support, m):
+    for h in range(m + 1):
+        if all(act_word(s, w) in support for s in tower.kernel(m, h) for w in support):
+            return h
+    return m
+
+
+def kernel_fixed_word_sum(tower, support, depth, level):
+    kern = tower.kernel(depth, min(level, depth))
+    return sum(all(act_word(s, w) == w for s in kern) for w in support) % 2
+
+
+def kernel_unstable(tower, depth, h, parts, allowed):
+    return any(bool(allowed(act_word(s, a))) != bool(allowed(a))
+               for a in itertools.product(parts, repeat=tower.size(depth))
+               for s in tower.kernel(depth, h))
+
+
+# -- shared strategies ---------------------------------------------------------------
+
+towers = st.sampled_from(sorted(TOWERS)).map(TOWERS.get)
+
+
+def labeled(prefix, k):
+    return LabeledSet([f"{prefix}{i}" for i in range(k)])
+
+
+@st.composite
+def matrices(draw, rows, cols):
+    return F2Matrix.from_rows(rows, cols, [[draw(st.integers(0, 1)) for _ in cols.labels]
+                                           for _ in rows.labels])
+
+
+@st.composite
+def tables(draw, tower, depth, letters, most=5):
+    """A support set at `depth`; half of the time closed under K(depth, h)
+    for a random h, so that every invariance level occurs."""
+    size = tower.size(depth)
+    words = draw(st.sets(st.tuples(*[st.sampled_from(letters)] * size), max_size=most))
+    if draw(st.booleans()):
+        h = draw(st.integers(0, depth))
+        words = {act_word(s, w) for w in words for s in tower.kernel(depth, h)}
+    return frozenset(words)
+
+
+@st.composite
+def apply_cases(draw):
+    tower = draw(towers)
+    basis = labeled("b", draw(st.integers(1, 3)))
+    out_basis = labeled("c", draw(st.integers(1, 3)))
+    depth = draw(st.integers(0, tower.max_level))
+    out_depth = draw(st.sampled_from(
+        [d for d in range(tower.max_level + 1)
+         if len(out_basis) ** tower.size(d) <= SCAN_CAP]))
+    window = MccWindow(tower, basis, depth, draw(tables(tower, depth, basis.labels)))
+    return draw(matrices(out_basis, basis)), window, out_depth
+
+
+@st.composite
+def tensor_cases(draw):
+    m = draw(matrices(labeled("c", draw(st.integers(1, 3))),
+                      labeled("b", draw(st.integers(1, 3)))))
+    return m, LabeledSet([f"x{i}" for i in range(draw(st.integers(0, 4)))])
+
+
+@st.composite
+def tower_tables(draw):
+    tower = draw(towers)
+    depth = draw(st.integers(0, tower.max_level))
+    return tower, depth, draw(tables(tower, depth, ("x", "y")))
+
+
+# -- rows --------------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(apply_cases())
+def test_apply_mcc_matches_output_scan(case):
+    matrix, window, out_depth = case
+    out = apply_mcc(matrix, window, out_depth)
+    want = scan_apply_mcc(matrix, window, out_depth)
+    assert out.support == want
+    assert out.inv_level == kernel_invariance_level_table(window.tower, want, out_depth)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tensor_cases())
+def test_tensor_power_matches_entry_loop(case):
+    m, x = case
+    got = tensor_power_finite(m, x)
+    want = loop_tensor_power(m, x)
+    assert got.rows == want.rows and got.cols == want.cols
+    assert got.bits == want.bits
+
+
+@settings(max_examples=200, deadline=None)
+@given(tower_tables())
+def test_invariance_levels_match_whole_kernel(case):
+    tower, depth, support = case
+    assert invariance_level_table(tower, support, depth) == \
+        kernel_invariance_level_table(tower, support, depth)
+    for w in support:
+        assert invariance_level(tower, w, depth) == kernel_invariance_level(tower, w, depth)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tower_tables(), st.integers(0, 3))
+def test_cc_sum_matches_fixed_word_sum(case, level):
+    tower, depth, support = case
+    h = kernel_invariance_level_table(tower, support, depth)
+    if h > level:
+        with pytest.raises(InvarianceError) as e:
+            cc_sum(tower, ("x", "y"), support, depth, level)
+        w, moved = e.value.pair
+        assert w in support and moved not in support
+        assert any(act_word(s, w) == moved
+                   for s in tower.kernel(depth, min(level, depth)))
+    else:
+        assert cc_sum(tower, ("x", "y"), support, depth, level) == \
+            kernel_fixed_word_sum(tower, support, depth, level)
+
+
+PREDICATES = (
+    lambda a: a.count("q") % 2 == 0,
+    lambda a: a[0] == "p",
+    lambda a: a[-1] == a[0],
+    lambda a: a.count("p") > 1,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(towers, st.data())
+def test_sector_stability_matches_whole_kernel(tower, data):
+    depth = data.draw(st.sampled_from(
+        [d for d in range(tower.max_level + 1) if 2 ** tower.size(d) <= 16]))
+    window = MccWindow(tower, ("x", "y"), depth,
+                       data.draw(tables(tower, depth, ("x", "y"))))
+    allowed = data.draw(st.sampled_from(PREDICATES))
+    part = {"x": "p", "y": "q"}
+    if kernel_unstable(tower, depth, window.inv_level, ("p", "q"), allowed):
+        with pytest.raises(StabilityError):
+            sector_project(window, part, allowed)
+    else:
+        out = sector_project(window, part, allowed)
+        assert out.support == {w for w in window.support
+                               if allowed(tuple(part[l] for l in w))}
+
+
+def generated(tower, m, gens):
+    ident = tuple(range(tower.size(m)))
+    seen, frontier = {ident}, [ident]
+    while frontier:
+        frontier = [q for q in {tuple(g[p[i]] for i in range(len(p)))
+                                for p in frontier for g in gens} if q not in seen]
+        seen.update(frontier)
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(TOWERS))
+def test_kernel_generators_generate_the_kernel(name):
+    tower = TOWERS[name]
+    for m in range(tower.max_level + 1):
+        for h in range(m + 1):
+            kern = tower.kernel(m, h)
+            gens = tower.kernel_generators(m, h)
+            assert set(gens) <= set(kern)
+            assert generated(tower, m, gens) == set(kern)
+            assert len(gens) <= math.log2(len(kern))
+
+
+def test_dihedral_tower_kernels_are_not_cyclic():
+    tower = TOWERS["parsed dihedral"]
+    for h, order in ((0, 8), (1, 4)):
+        kern = tower.kernel(2, h)
+        assert len(kern) == order
+        assert not any(generated(tower, 2, [g]) == set(kern) for g in kern)
+        assert len(tower.kernel_generators(2, h)) >= 2
