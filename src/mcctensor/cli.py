@@ -67,7 +67,7 @@ class Suite:
             outcome = fn() or {}
             witness = outcome.get("witness")
             detail = outcome.get("detail")
-        except (MccError, AssertionError) as e:
+        except MccError as e:
             witness = {"error": type(e).__name__, "message": str(e)}
             detail = None
         ms = int((time.monotonic() - t0) * 1000)
@@ -251,13 +251,12 @@ def _check_certificates(depth_cap, rows_out):
                        "certified": True}}
 
 
-def _check_dimension_bridge(depth_cap, rows):
+def _check_dimension_bridge(rows, dims):
     """Hochschild-style totals from box powers against the independent
-    closed-walk staircase dimensions."""
+    closed-walk staircase dimensions `dims`."""
     if not rows:
         return {"witness": {"error": "no dimension rows (certificate check "
                                      "did not produce them)"}}
-    dims = staircase_dims(fig8(), dyadic_solenoid(depth_cap), depth_cap)
     totals = [r["total"] for r in rows]
     if totals != dims:
         return {"witness": {"box_totals": totals, "staircase": dims}}
@@ -286,7 +285,8 @@ def cmd_verify(args):
     suite.run("vanishing-certificates",
               lambda: _check_certificates(depth_cap, rows))
     suite.run("dimension-bridge",
-              lambda: _check_dimension_bridge(depth_cap, rows))
+              lambda: _check_dimension_bridge(rows, staircase_dims(
+                  fig8(), dyadic_solenoid(depth_cap), depth_cap)))
     report = {"command": "verify", "seed": seed, "depth_cap": depth_cap,
               "checks": suite.checks, "artifacts": []}
     return _emit(report)
@@ -312,7 +312,7 @@ def cmd_dims(args):
         suite.run("vanishing-certificates",
                   lambda: _check_certificates(max_level, rows))
         suite.run("dimension-bridge",
-                  lambda: _check_dimension_bridge(max_level, rows))
+                  lambda: _check_dimension_bridge(rows, dims))
         for m, total in enumerate(dims):
             entry = {"level": m, "total": total,
                      "lower": 1, "middle": total - 2, "upper": 1}
@@ -488,7 +488,7 @@ def main(argv=None):
         # an internal cross-check failed: a failed check, not bad input
         error = {"type": type(e).__name__, "message": str(e), "witness": e.values}
         code = 1
-    except (MccError, OSError, ValueError, AssertionError) as e:
+    except (MccError, OSError, ValueError) as e:
         error = {"type": type(e).__name__, "message": str(e)}
         code = 2
     report = {"command": getattr(args, "cmd", None), "ok": False, "error": error}

@@ -26,8 +26,8 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-from .errors import (CertificateError, ChainingError, LabelMismatchError,
-                     MccError, ZeroInputCycleError)
+from .errors import (CertificateError, ChainingError, CrossCheckError,
+                     LabelMismatchError, MccError, ZeroInputCycleError)
 
 RHO_LABELS = ("r1", "r2", "r3", "r12", "r23", "r123")
 IDEMPOTENT_LABELS = ("i0", "i1", "ie", "i01")
@@ -87,28 +87,52 @@ class TorusAlgebra:
 _TORUS = None
 
 
+def _check_torus(alg):
+    """Structure self-checks: idempotent action, zero differential, grading
+    separation and associativity over every basis triple."""
+    for a in alg.basis:
+        l, r = alg.idem(a)
+        la, ar = alg.mult(l, a), alg.mult(a, r)
+        if la != a or ar != a:
+            raise CrossCheckError(
+                f"idempotents ({l}, {r}) do not fix {a!r}",
+                values={"element": a, "left_product": la, "right_product": ar})
+        if alg.differential(a) != ():
+            raise CrossCheckError(
+                f"differential of {a!r} is not zero",
+                values={"element": a, "differential": list(alg.differential(a))})
+        for b in alg.basis:
+            ab = alg.mult(a, b)
+            if ab is not None and not (
+                    alg.grading(a) == alg.grading(b) == alg.grading(ab)):
+                raise CrossCheckError(
+                    f"product {a!r}*{b!r} = {ab!r} mixes gradings",
+                    values={"operands": [a, b], "product": ab,
+                            "gradings": [alg.grading(x) for x in (a, b, ab)]})
+            for c in alg.basis:
+                left = alg.mult(ab, c) if ab is not None else None
+                bc = alg.mult(b, c)
+                right = alg.mult(a, bc) if bc is not None else None
+                if left != right:
+                    raise CrossCheckError(
+                        f"associativity fails on {(a, b, c)}",
+                        values={"triple": [a, b, c], "(ab)c": left, "a(bc)": right})
+
+
 def torus_algebra():
     """The (cached) torus algebra, revalidated on first construction."""
     global _TORUS
     if _TORUS is None:
         alg = TorusAlgebra()
-        # structure self-checks: associativity over every basis triple,
-        # idempotent action, grading separation, zero differential
-        for a in alg.basis:
-            l, r = alg.idem(a)
-            assert alg.mult(l, a) == a and alg.mult(a, r) == a
-            assert alg.differential(a) == ()
-            for b in alg.basis:
-                ab = alg.mult(a, b)
-                if ab is not None:
-                    assert alg.grading(a) == alg.grading(b) == alg.grading(ab)
-                for c in alg.basis:
-                    left = alg.mult(ab, c) if ab is not None else None
-                    bc = alg.mult(b, c)
-                    right = alg.mult(a, bc) if bc is not None else None
-                    assert left == right, f"associativity fails on {(a, b, c)}"
+        _check_torus(alg)
         _TORUS = alg
     return _TORUS
+
+
+# per-chord (start, end) idempotents, the tables term validation reads
+_CHORDS = frozenset(RHO_LABELS)
+_CHORD_START = {a: TorusAlgebra._idem[a][0] for a in RHO_LABELS}
+_CHORD_END = {a: TorusAlgebra._idem[a][1] for a in RHO_LABELS}
 
 
 class DABimodule:
@@ -118,6 +142,7 @@ class DABimodule:
     in {i0, i1}.  terms: iterable of (x, inputs, output, y); duplicate terms
     cancel in pairs (coefficients live in F2).  Idempotent chaining along
     every term and acyclicity of the zero-input terms are validated.
+    `sorted_terms` holds the reduced terms in sorted order, sorted once here.
     """
 
     def __init__(self, algebra, generators, terms, name=None):
@@ -140,12 +165,15 @@ class DABimodule:
         for (x, inputs, output, y) in terms:
             t = (str(x), tuple(inputs), str(output), str(y))
             bag ^= {t}
-        for t in sorted(bag):
+        # validation, the per-source lists, certificate witnesses and
+        # serialization all read this one order
+        self.sorted_terms = tuple(sorted(bag))
+        for t in self.sorted_terms:
             self._validate_term(t)
         self.terms = frozenset(bag)
 
         self._by_source = {}
-        for t in sorted(self.terms):
+        for t in self.sorted_terms:
             self._by_source.setdefault(t[0], []).append(t)
         self._check_zero_input_cycles()
 
@@ -155,19 +183,18 @@ class DABimodule:
             raise LabelMismatchError(f"term {term} uses unknown generators")
         lx, rx = self.idem[x]
         ly, ry = self.idem[y]
-        alg = self.algebra
-        for a in inputs:
-            if a not in RHO_LABELS:
-                raise ChainingError(
-                    f"term {term}: inputs must be chords (strict unitality is "
-                    f"synthesized, never stored); got {a!r}")
+        if not _CHORDS.issuperset(inputs):
+            a = next(a for a in inputs if a not in _CHORDS)
+            raise ChainingError(
+                f"term {term}: inputs must be chords (strict unitality is "
+                f"synthesized, never stored); got {a!r}")
         if output == UNIT:
             if lx != ly:
                 raise ChainingError(
                     f"term {term}: unit output needs equal left idempotents, "
                     f"got {lx!r} vs {ly!r}")
-        elif output in RHO_LABELS:
-            ol, orr = alg.idem(output)
+        elif output in _CHORDS:
+            ol, orr = _CHORD_START[output], _CHORD_END[output]
             if (ol, orr) != (lx, ly):
                 raise ChainingError(
                     f"term {term}: output {output!r} has idempotents ({ol}, {orr}), "
@@ -177,11 +204,11 @@ class DABimodule:
                 f"term {term}: output must be a chord or the unit, got {output!r}")
         chain = rx
         for a in inputs:
-            al, ar = alg.idem(a)
-            if al != chain:
+            if _CHORD_START[a] != chain:
                 raise ChainingError(
-                    f"term {term}: input {a!r} starts at {al!r}, expected {chain!r}")
-            chain = ar
+                    f"term {term}: input {a!r} starts at {_CHORD_START[a]!r}, "
+                    f"expected {chain!r}")
+            chain = _CHORD_END[a]
         if ry != chain:
             raise ChainingError(
                 f"term {term}: generator {y!r} has right idempotent {ry!r}, "
@@ -189,7 +216,7 @@ class DABimodule:
 
     def _check_zero_input_cycles(self):
         adj = {}
-        for (x, inputs, output, y) in self.terms:
+        for (x, inputs, output, y) in self.sorted_terms:
             if not inputs:
                 adj.setdefault(x, []).append(y)
         state = {}
@@ -317,7 +344,12 @@ def box_tensor(m, n, name=None):
             for (x1, a_word, b_out, x2) in m.terms_from(xn):
                 for consumed, y_end in _chains_with_outputs(n, yn, a_word):
                     tgt = x2 + "|" + y_end
-                    assert tgt in gen_names, "box term left a valid generator pair"
+                    if tgt not in gen_names:
+                        raise CrossCheckError(
+                            f"box term {src} -> {tgt} leaves the generator pairs",
+                            values={"source": src, "target": tgt,
+                                    "left_term": [x1, list(a_word), b_out, x2],
+                                    "inputs": list(consumed)})
                     terms.append((src, consumed, b_out, tgt))
             for (y1, ins, out, y2) in n.terms_from(yn):
                 if out == UNIT:
@@ -428,11 +460,8 @@ def vanishing_certificate(p):
     forbidden = frozenset(FORBIDDEN_EDGE_LABELS)
     checks = []
 
-    witness = None
-    for t in sorted(p.terms):
-        if t[2] == "r2" and "r2" not in t[1]:
-            witness = t
-            break
+    witness = next((t for t in p.sorted_terms
+                    if t[2] == "r2" and "r2" not in t[1]), None)
     checks.append({"name": "P1-r2-output-needs-r2-input",
                    "ok": witness is None,
                    "witness": list(witness) if witness else None})
@@ -449,12 +478,9 @@ def vanishing_certificate(p):
                    "ok": witness is None,
                    "witness": list(witness) if witness else None})
 
-    witness = None
-    for t in sorted(p.terms):
-        if t[2] == UNIT or alg.is_idempotent(t[2]):
-            if not any(a in forbidden for a in t[1]):
-                witness = t
-                break
+    unitlike = {UNIT}.union(a for a in alg.basis if alg.is_idempotent(a))
+    witness = next((t for t in p.sorted_terms
+                    if t[2] in unitlike and forbidden.isdisjoint(t[1])), None)
     checks.append({"name": "P3-unit-output-needs-forbidden-input",
                    "ok": witness is None,
                    "witness": list(witness) if witness else None})
@@ -476,14 +502,16 @@ def vanishing_certificate(p):
     # spontaneous closure: zero-input outputs, closed under nonzero products
     fix = _close_products(alg, {t[2] for t in p.terms if not t[1]})
 
-    # extended closure: also feed terms whose inputs all lie inside
+    # extended closure: also feed terms whose inputs all lie inside; terms
+    # with equal input letters and output feed alike
+    feeds = {(frozenset(t[1]), t[2]) for t in p.terms if t[1]}
     ext = set(fix)
     grew = True
     while grew:
         grew = False
-        for t in p.terms:
-            if t[1] and all(a in ext for a in t[1]) and t[2] not in ext:
-                ext.add(t[2])
+        for ins, out in feeds:
+            if out not in ext and ext.issuperset(ins):
+                ext.add(out)
                 grew = True
         new = _close_products(alg, ext)
         if new != ext:
@@ -506,7 +534,8 @@ def vanishing_certificate(p):
 DERIVED_WORK_CAP = 1 << 17
 
 
-def derived_power_certificate(base, doublings, work_cap=DERIVED_WORK_CAP):
+def derived_power_certificate(base, doublings, work_cap=DERIVED_WORK_CAP,
+                              base_cert=None):
     """Certificate for the 2^doublings-fold box power of `base`, derived by
     structural induction instead of assembling the power's term table (which
     grows into millions of long-word terms past the 4-fold power).
@@ -539,25 +568,26 @@ def derived_power_certificate(base, doublings, work_cap=DERIVED_WORK_CAP):
     Premises are checked mechanically on the materialized base; if the
     generator or sub-table size passes `work_cap` the exact iteration stops
     and the reported fixpoint falls back to the (still sound) bound E, with
-    fixpoint_is_exact set to False.
+    fixpoint_is_exact set to False.  `base_cert` is the base's vanishing
+    certificate when the caller has already computed it.
     """
     if doublings < 0:
         raise MccError("doublings must be >= 0")
-    cert = vanishing_certificate(base)
+    cert = base_cert if base_cert is not None else vanishing_certificate(base)
     if not cert["granted"]:
         raise CertificateError(
             "cannot derive a power certificate: the base certificate is refused",
             report=cert)
     alg = base.algebra
     closure = frozenset(cert["extended_fixpoint"])
-    bad = next((t for t in sorted(base.terms) if not t[1] and t[2] == UNIT), None)
+    bad = next((t for t in base.sorted_terms if not t[1] and t[2] == UNIT), None)
     if bad is not None:
         raise CertificateError(
             f"cannot derive a power certificate: zero-input term {bad} outputs "
             f"the unit, so unit forwards would enter the spontaneous closure",
             report=cert)
-    bad = next((t for t in sorted(base.terms)
-                if t[2] == UNIT and all(a in closure for a in t[1])), None)
+    bad = next((t for t in base.sorted_terms
+                if t[2] == UNIT and closure.issuperset(t[1])), None)
     if bad is not None:
         raise CertificateError(
             f"cannot derive a power certificate: unit-output term {bad} is "
@@ -566,7 +596,7 @@ def derived_power_certificate(base, doublings, work_cap=DERIVED_WORK_CAP):
 
     # square the closure-input-only sub-table through the doublings
     gens = list(base.generators)
-    table = {t for t in base.terms if all(a in closure for a in t[1])}
+    table = {t for t in base.terms if closure.issuperset(t[1])}
     fix_by_doubling = [sorted(cert["fixpoint"])]
     exact_through = 0
     for step in range(doublings):
@@ -598,7 +628,10 @@ def derived_power_certificate(base, doublings, work_cap=DERIVED_WORK_CAP):
 
     exact = exact_through == doublings
     fix = set(fix_by_doubling[-1]) if exact else set(closure)
-    assert fix <= closure, "derived fixpoint left its proven bound"
+    if not fix <= closure:
+        raise CrossCheckError(
+            "derived fixpoint left its proven bound",
+            values={"fixpoint": sorted(fix), "bound": sorted(closure)})
     forbidden = frozenset(FORBIDDEN_EDGE_LABELS)
     checks = []
     for c in cert["checks"]:
@@ -631,7 +664,8 @@ def hfk_dimensions(max_level, seed=None, cross_check=True, direct_power_cap=4):
     assembled in full and certified by the direct fixpoint procedure; deeper
     doublings keep only the generator pairing (the 8-fold term table runs to
     millions of long-word terms) and are certified by the structural
-    induction on the deepest assembled power.  With cross_check=True every
+    induction on the deepest assembled power, whose certificate is computed
+    once and handed to that induction.  With cross_check=True every
     total is compared against the level-m solenoidal staircase dimension, an
     independent computation path.
     """
@@ -653,7 +687,8 @@ def hfk_dimensions(max_level, seed=None, cross_check=True, direct_power_cap=4):
                     f"{detail}",
                     report=cert)
         else:
-            cert = derived_power_certificate(base, m - base_level)
+            # `cert` is still the certificate of the deepest assembled power
+            derived_power_certificate(base, m - base_level, base_cert=cert)
         middle = sum(1 for (_, l, r) in gens if l == r)
         rows.append({"level": m, "power": 2 ** m, "lower": 1, "middle": middle,
                      "upper": 1, "total": middle + 2,
@@ -672,22 +707,24 @@ def hfk_dimensions(max_level, seed=None, cross_check=True, direct_power_cap=4):
         from .towers import dyadic_solenoid
         dims = staircase_dims(fig8(), dyadic_solenoid(max_level), max_level)
         for row, dim in zip(rows, dims):
-            assert row["total"] == dim, (
-                f"dimension bridge mismatch at level {row['level']}: "
-                f"box power gives {row['total']}, staircase gives {dim}")
+            if row["total"] != dim:
+                raise CrossCheckError(
+                    f"dimension bridge mismatch at level {row['level']}: "
+                    f"box power gives {row['total']}, staircase gives {dim}",
+                    values={"level": row["level"], "box_total": row["total"],
+                            "staircase": dim})
     return rows
 
 
 # -- JSON serialization ---------------------------------------------------------------
 
 def bimodule_to_dict(p):
-    gens = sorted(p.generators)
-    terms = sorted(p.terms)
     return {
         "algebra": "torus",
-        "generators": [{"name": g, "left": l, "right": r} for (g, l, r) in gens],
+        "generators": [{"name": g, "left": l, "right": r}
+                       for (g, l, r) in sorted(p.generators)],
         "terms": [{"x": x, "inputs": list(ins), "output": out, "y": y}
-                  for (x, ins, out, y) in terms],
+                  for (x, ins, out, y) in p.sorted_terms],
     }
 
 
@@ -699,8 +736,39 @@ def bimodule_from_dict(d, name=None):
     return DABimodule(torus_algebra(), gens, terms, name=name)
 
 
+# stored inputs are chords and stored outputs chords or the unit
+_QUOTED_LABELS = {a: json.dumps(a) for a in RHO_LABELS + (UNIT,)}
+
+
+def _json_list(items, indent):
+    """A JSON list of already-encoded items, laid out as json.dumps with
+    indent=2 lays out a list nested `indent` spaces deep."""
+    if not items:
+        return "[]"
+    pad = " " * (indent + 2)
+    return "[\n" + pad + (",\n" + pad).join(items) + "\n" + " " * indent + "]"
+
+
 def dumps_bimodule(p):
-    return json.dumps(bimodule_to_dict(p), indent=2, sort_keys=True) + "\n"
+    """The canonical JSON text of `p`: the same bytes as
+    json.dumps(bimodule_to_dict(p), indent=2, sort_keys=True) + "\n",
+    written directly for the fixed layout (keys in sorted order)."""
+    name = {g: json.dumps(g) for (g, _, _) in p.generators}
+    gens = ["{\n"
+            f'      "left": {json.dumps(l)},\n'
+            f'      "name": {name[g]},\n'
+            f'      "right": {json.dumps(r)}\n'
+            "    }" for (g, l, r) in sorted(p.generators)]
+    terms = ["{\n"
+             f'      "inputs": {_json_list([_QUOTED_LABELS[a] for a in ins], 6)},\n'
+             f'      "output": {_QUOTED_LABELS[out]},\n'
+             f'      "x": {name[x]},\n'
+             f'      "y": {name[y]}\n'
+             "    }" for (x, ins, out, y) in p.sorted_terms]
+    return ('{\n  "algebra": "torus",\n'
+            f'  "generators": {_json_list(gens, 2)},\n'
+            f'  "terms": {_json_list(terms, 2)}\n'
+            "}\n")
 
 
 def load_bimodule(path):

@@ -23,8 +23,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from .errors import (CompatibilityError, LabelMismatchError, MccError,
-                     ParseError)
+from .errors import (CompatibilityError, CrossCheckError, LabelMismatchError,
+                     MccError, ParseError)
 from .f2cat import F2Matrix, LabeledSet, compose
 from .mcc import MccWindow, apply_mcc
 from .towers import dyadic_solenoid
@@ -289,8 +289,10 @@ def hh0_inline_power(g, n, cross_check=True):
     dim = len(reps)
     if cross_check:
         oracle = hh0_quotient_dim(g, n)
-        assert oracle == dim, (
-            f"quotient oracle gives {oracle}, walk enumeration gives {dim}")
+        if oracle != dim:
+            raise CrossCheckError(
+                f"quotient oracle gives {oracle}, walk enumeration gives {dim}",
+                values={"n": n, "oracle": oracle, "walks": dim})
     return dim, reps
 
 

@@ -80,3 +80,29 @@ def test_counted_targets_record_and_uninstall(spans):
                  "floer.box_generators", "floer.dumps_bimodule"):
         assert name in recorded
     assert spans.leftover_wrappers() == []
+
+
+def _traced_cli_pass(spans, capsys):
+    """One traced pass of the box-power CLI commands; the tracer's counts,
+    errors and the commands' exit codes."""
+    from mcctensor import cli
+
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        codes = [cli.main(["hh", "box", "--power", "4"]),
+                 cli.main(["dims", "fig8", "3"])]
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    return dict(tracer.counts), dict(tracer.errors), codes
+
+
+def test_traced_box_power_commands_repeat_their_counts(spans, capsys):
+    first = _traced_cli_pass(spans, capsys)
+    second = _traced_cli_pass(spans, capsys)
+    assert first == second
+    counts, errors, codes = first
+    assert codes == [0, 0] and errors == {}
+    assert counts["floer.box_tensor.terms_out"] > 0
+    assert spans.leftover_wrappers() == []

@@ -2,15 +2,20 @@
 
 import itertools
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from mcctensor.errors import (CertificateError, ChainingError,
+import mcctensor.floer as floer_module
+import mcctensor.solenoidal as solenoidal_module
+from mcctensor.errors import (CertificateError, ChainingError, CrossCheckError,
                               LabelMismatchError, MccError,
                               ZeroInputCycleError)
-from mcctensor.floer import (DABimodule, bimodule_from_dict, bimodule_to_dict,
-                             box_generators, box_power, box_tensor, cfda_ta,
-                             cfda_tb_inv, delta_k, derived_power_certificate,
+from mcctensor.floer import (DABimodule, TorusAlgebra, bimodule_from_dict,
+                             bimodule_to_dict, box_generators, box_power,
+                             box_tensor, cfda_ta, cfda_tb_inv, delta_k, derived_power_certificate,
                              dumps_bimodule, golden_box_text,
                              hfk_dimensions, hochschild_generators,
                              load_bimodule, resolve_bimodule, seed_box,
@@ -336,6 +341,138 @@ def test_hfk_dimensions_refuse_mutated_seed():
     with pytest.raises(CertificateError) as e:
         hfk_dimensions(1, seed=mutated)
     assert "P1" in str(e.value)
+
+
+def p3_violating_bimodule():
+    # unit outputs fed by r12 alone: P3 fails on both, nothing else does
+    return make([("a", "i0", "i0"), ("b", "i0", "i0")],
+                [("b", ("r12",), "1", "a"), ("a", ("r12",), "1", "b")])
+
+
+def test_vanishing_certificate_refuses_p3_alone():
+    cert = vanishing_certificate(p3_violating_bimodule())
+    assert cert["granted"] is False
+    assert [c["ok"] for c in cert["checks"]] == [True, True, False, True]
+    p3 = cert["checks"][2]
+    assert p3["name"].startswith("P3")
+    assert p3["witness"] == ["a", ("r12",), "1", "b"]  # first in sorted order
+    assert cert["fixpoint"] == []
+
+
+def forced_grant(p):
+    """p's certificate with the verdict overridden, to reach the refusals
+    that a granted certificate makes unreachable."""
+    return dict(vanishing_certificate(p), granted=True)
+
+
+def test_derived_certificate_refuses_zero_input_unit_term():
+    base = make([("a", "i0", "i0"), ("b", "i0", "i0")],
+                [("a", (), "1", "b")])
+    with pytest.raises(CertificateError, match="zero-input term"):
+        derived_power_certificate(base, 1, base_cert=forced_grant(base))
+
+
+def test_derived_certificate_refuses_closure_fed_unit_term():
+    base = make([("a", "i0", "i0"), ("b", "i0", "i0"), ("c", "i0", "i0")],
+                [("a", (), "r12", "b"), ("b", ("r12",), "1", "c")])
+    cert = forced_grant(base)
+    assert "r12" in cert["extended_fixpoint"]
+    with pytest.raises(CertificateError, match="feedable entirely") as e:
+        derived_power_certificate(base, 1, base_cert=cert)
+    assert "('b', ('r12',), '1', 'c')" in str(e.value)
+
+
+def test_hfk_dimensions_certify_each_power_once(monkeypatch):
+    calls = []
+    real = floer_module.vanishing_certificate
+    monkeypatch.setattr(floer_module, "vanishing_certificate",
+                        lambda p: calls.append(len(p.terms)) or real(p))
+    hfk_dimensions(3, cross_check=False)
+    assert calls == [21, 105, 4095]
+
+
+# -- cross-checks raise CrossCheckError, also under python -O -------------------------
+
+def _drop_product(pair):
+    return {k: v for k, v in TorusAlgebra._products.items() if k != pair}
+
+
+TORUS_BREAKS = {
+    "idempotent-action": ("idem", lambda self, a: ("i1", "i1") if a == "r12"
+                          else TorusAlgebra._idem[a],
+                          {"element": "r12", "left_product": None,
+                           "right_product": None}),
+    "differential": ("differential", lambda self, a: ("r1",) if a == "r123" else (),
+                     {"element": "r123", "differential": ["r1"]}),
+    "grading": ("_grading", dict(TorusAlgebra._grading, r12=1),
+                {"operands": ["i0", "r12"], "product": "r12", "gradings": [0, 1, 1]}),
+    "associativity": ("_products", _drop_product(("r12", "r3")),
+                      {"triple": ["r1", "r2", "r3"], "(ab)c": None, "a(bc)": "r123"}),
+}
+
+
+@pytest.mark.parametrize("check", sorted(TORUS_BREAKS))
+def test_torus_self_checks_are_cross_checks(monkeypatch, check):
+    attr, broken, values = TORUS_BREAKS[check]
+    monkeypatch.setattr(TorusAlgebra, attr, broken)
+    monkeypatch.setattr(floer_module, "_TORUS", None)
+    with pytest.raises(CrossCheckError) as e:
+        torus_algebra()
+    assert e.value.values == values
+
+
+def test_box_target_check_is_a_cross_check(monkeypatch):
+    real = floer_module.box_generators
+    monkeypatch.setattr(floer_module, "box_generators", lambda m, n: real(m, n)[:-1])
+    with pytest.raises(CrossCheckError) as e:
+        box_tensor(cfda_tb_inv(), cfda_ta())
+    assert e.value.values == {"source": "p|f", "target": "r|h",
+                              "left_term": ["p", ["r12"], "r1", "r"],
+                              "inputs": ["r1"]}
+
+
+def test_derived_fixpoint_bound_is_a_cross_check(monkeypatch):
+    # claim the spontaneous fixpoint as the extended closure: the first
+    # doubling already reaches r123 and r23 outside it
+    real = floer_module.vanishing_certificate
+    monkeypatch.setattr(floer_module, "vanishing_certificate",
+                        lambda p: dict(real(p), extended_fixpoint=real(p)["fixpoint"]))
+    with pytest.raises(CrossCheckError) as e:
+        derived_power_certificate(seed_box(), 1)
+    assert e.value.values == {"fixpoint": ["r1", "r123", "r23", "r3"],
+                              "bound": ["r1", "r3"]}
+
+
+def test_dimension_bridge_is_a_cross_check(monkeypatch):
+    real = solenoidal_module.staircase_dims
+    monkeypatch.setattr(solenoidal_module, "staircase_dims",
+                        lambda g, tower, m: [d + 1 for d in real(g, tower, m)])
+    with pytest.raises(CrossCheckError) as e:
+        hfk_dimensions(1)
+    assert e.value.values == {"level": 0, "box_total": 5, "staircase": 6}
+
+
+CROSS_CHECK_TESTS = (
+    "tests/test_floer.py::test_torus_self_checks_are_cross_checks",
+    "tests/test_floer.py::test_box_target_check_is_a_cross_check",
+    "tests/test_floer.py::test_derived_fixpoint_bound_is_a_cross_check",
+    "tests/test_floer.py::test_dimension_bridge_is_a_cross_check",
+    "tests/test_solenoidal.py::test_hh0_oracle_is_a_cross_check",
+)
+
+
+def test_acceptance_and_cross_checks_hold_under_python_O():
+    # -O strips the tests' own asserts, but pytest.raises still fails when a
+    # cross-check no longer raises
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src") + os.pathsep
+               + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "tests/test_acceptance.py", *CROSS_CHECK_TESTS],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "17 passed" in proc.stdout
 
 
 def test_bimodule_json_roundtrip(tmp_path):

@@ -10,6 +10,8 @@ kept here as the oracle, on shared Hypothesis strategies at small sizes.
     cc_sum, generators                kernel_fixed_word_sum            tower_tables    depth <= 3
     sector_project stability, gens    kernel_unstable                  towers, tables  2^|X| <= 16
     kernel_generators                 closure equals kernel            TOWERS          every (m, h)
+    dumps_bimodule, direct writer     json.dumps(indent=2, sort_keys)  renamed_boxes   P^1, P^2, P^4
+    DABimodule term validation, tables per_letter_validate             mutated_terms   seed box terms
 
 The towers are the plain solenoid, two parallel solenoids and a parsed
 tower whose level-2 group is dihedral of order 8, so that its kernels are
@@ -17,13 +19,18 @@ not cyclic.
 """
 
 import itertools
+import json
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mcctensor.errors import InvarianceError, StabilityError
+from mcctensor.errors import (ChainingError, InvarianceError, LabelMismatchError,
+                              StabilityError)
 from mcctensor.f2cat import F2Matrix, LabeledSet, tensor_power_finite, word_label
+from mcctensor.floer import (RHO_LABELS, UNIT, DABimodule, bimodule_to_dict,
+                             box_power, cfda_ta, cfda_tb_inv, dumps_bimodule,
+                             seed_box, torus_algebra)
 from mcctensor.mcc import MccWindow, apply_mcc, sector_project
 from mcctensor.towers import (act_word, cc_sum, dyadic_solenoid,
                               invariance_level, invariance_level_table,
@@ -124,6 +131,50 @@ def kernel_unstable(tower, depth, h, parts, allowed):
                for s in tower.kernel(depth, h))
 
 
+def json_dumps_bimodule(p):
+    return json.dumps(bimodule_to_dict(p), indent=2, sort_keys=True) + "\n"
+
+
+def per_letter_validate(p, term):
+    """Term validation with two algebra method calls per input letter."""
+    x, inputs, output, y = term
+    if x not in p.idem or y not in p.idem:
+        raise LabelMismatchError(f"term {term} uses unknown generators")
+    lx, rx = p.idem[x]
+    ly, ry = p.idem[y]
+    alg = p.algebra
+    for a in inputs:
+        if a not in RHO_LABELS:
+            raise ChainingError(
+                f"term {term}: inputs must be chords (strict unitality is "
+                f"synthesized, never stored); got {a!r}")
+    if output == UNIT:
+        if lx != ly:
+            raise ChainingError(
+                f"term {term}: unit output needs equal left idempotents, "
+                f"got {lx!r} vs {ly!r}")
+    elif output in RHO_LABELS:
+        ol, orr = alg.idem(output)
+        if (ol, orr) != (lx, ly):
+            raise ChainingError(
+                f"term {term}: output {output!r} has idempotents ({ol}, {orr}), "
+                f"the arrow needs ({lx}, {ly})")
+    else:
+        raise ChainingError(
+            f"term {term}: output must be a chord or the unit, got {output!r}")
+    chain = rx
+    for a in inputs:
+        al, ar = alg.idem(a)
+        if al != chain:
+            raise ChainingError(
+                f"term {term}: input {a!r} starts at {al!r}, expected {chain!r}")
+        chain = ar
+    if ry != chain:
+        raise ChainingError(
+            f"term {term}: generator {y!r} has right idempotent {ry!r}, "
+            f"the inputs end at {chain!r}")
+
+
 # -- shared strategies ---------------------------------------------------------------
 
 towers = st.sampled_from(sorted(TOWERS)).map(TOWERS.get)
@@ -176,6 +227,56 @@ def tower_tables(draw):
     tower = draw(towers)
     depth = draw(st.integers(0, tower.max_level))
     return tower, depth, draw(tables(tower, depth, ("x", "y")))
+
+
+SEED_BOX = seed_box()
+# names that JSON must escape: quote, backslash, control and non-ASCII
+NAME_CHARS = st.sampled_from(['"', "\\", "\n", "\t", "é", "∂", "\U0001d53d", "|", "a", "z"])
+
+
+@st.composite
+def renamed_boxes(draw):
+    """The seed box product with every generator renamed."""
+    old = SEED_BOX.gen_names()
+    new = draw(st.lists(st.text(NAME_CHARS, min_size=1, max_size=4),
+                        min_size=len(old), max_size=len(old), unique=True))
+    name = dict(zip(old, new))
+    return DABimodule(SEED_BOX.algebra,
+                      [(name[g], l, r) for (g, l, r) in SEED_BOX.generators],
+                      [(name[x], ins, out, name[y])
+                       for (x, ins, out, y) in SEED_BOX.terms])
+
+
+LETTERS = RHO_LABELS + (UNIT, "i0", "ie", "r4")
+
+
+@st.composite
+def mutated_terms(draw):
+    """A seed box term with one field replaced, one input letter replaced,
+    inserted or dropped, or left as it is."""
+    x, ins, out, y = draw(st.sampled_from(SEED_BOX.sorted_terms))
+    names = SEED_BOX.gen_names() + ["zz"]
+    kind = draw(st.sampled_from(("x", "y", "output", "letter", "insert", "drop", "none")))
+    if kind == "x":
+        x = draw(st.sampled_from(names))
+    elif kind == "y":
+        y = draw(st.sampled_from(names))
+    elif kind == "output":
+        out = draw(st.sampled_from(LETTERS))
+    elif kind in ("letter", "insert", "drop") and (ins or kind == "insert"):
+        k = draw(st.integers(0, len(ins) - (kind != "insert")))
+        a = draw(st.sampled_from(LETTERS))
+        rest = ins[k + 1:] if kind != "insert" else ins[k:]
+        ins = ins[:k] + ((a,) if kind != "drop" else ()) + rest
+    return (x, ins, out, y)
+
+
+def outcome(fn, *args):
+    try:
+        fn(*args)
+    except (ChainingError, LabelMismatchError) as e:
+        return type(e).__name__, str(e)
+    return None
 
 
 # -- rows --------------------------------------------------------------------------------
@@ -282,3 +383,27 @@ def test_dihedral_tower_kernels_are_not_cyclic():
         assert len(kern) == order
         assert not any(generated(tower, 2, [g]) == set(kern) for g in kern)
         assert len(tower.kernel_generators(2, h)) >= 2
+
+
+@pytest.mark.parametrize("p", [
+    cfda_tb_inv(), cfda_ta(), SEED_BOX, box_power(SEED_BOX, 2), box_power(SEED_BOX, 4),
+    DABimodule(torus_algebra(), cfda_ta().generators, []),
+    DABimodule(torus_algebra(), [], []),
+], ids=["tb_inv", "ta", "P1", "P2", "P4", "no terms", "empty"])
+def test_dumps_bimodule_matches_json_dumps(p):
+    assert dumps_bimodule(p) == json_dumps_bimodule(p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(renamed_boxes())
+def test_dumps_bimodule_escapes_like_json_dumps(p):
+    text = dumps_bimodule(p)
+    assert text == json_dumps_bimodule(p)
+    assert json.loads(text) == bimodule_to_dict(p)
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_terms())
+def test_term_validation_matches_per_letter_loop(term):
+    assert outcome(SEED_BOX._validate_term, term) == \
+        outcome(per_letter_validate, SEED_BOX, term)

@@ -5,8 +5,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mcctensor.errors import (CompatibilityError, LabelMismatchError, MccError,
-                              ParseError)
+import mcctensor.solenoidal as solenoidal_module
+from mcctensor.errors import (CompatibilityError, CrossCheckError,
+                              LabelMismatchError, MccError, ParseError)
 from mcctensor.f2cat import F2Matrix, compose
 from mcctensor.mcc import MccWindow, apply_mcc
 from mcctensor.solenoidal import (GraphBasis, GraphMorphism,
@@ -178,6 +179,15 @@ def test_hh0_inline_power_with_oracle():
     assert dim == 9 and ("v", "w") in reps
     assert hh0_quotient_dim(G, 1) == 5
     assert hh0_quotient_dim(G, 4) == 49
+
+
+def test_hh0_oracle_is_a_cross_check(monkeypatch):
+    real = solenoidal_module.hh0_quotient_dim
+    monkeypatch.setattr(solenoidal_module, "hh0_quotient_dim",
+                        lambda g, n: real(g, n) + 1)
+    with pytest.raises(CrossCheckError) as e:
+        hh0_inline_power(G, 2)
+    assert e.value.values == {"n": 2, "oracle": 10, "walks": 9}
 
 
 def test_hh0_random_graphs_walks_equal_quotient():
