@@ -250,48 +250,49 @@ def tensor_power_finite(m, x, max_entries=DEFAULT_ENTRY_CAP):
     return F2Matrix(rows, cols, bits)
 
 
-def invert(m):
-    """Inverse of a square F2 matrix by Gauss-Jordan, or None if singular."""
-    n = len(m.rows)
-    if n != len(m.cols):
-        return None
-    a = list(m.bits)
-    inv = [1 << i for i in range(n)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if (a[r] >> col) & 1:
-                piv = r
-                break
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        for r in range(n):
-            if r != col and ((a[r] >> col) & 1):
-                a[r] ^= a[col]
-                inv[r] ^= inv[col]
-    return F2Matrix(m.cols, m.rows, inv)
-
-
-def rank(m):
-    """Rank over F2 of the row space (row reduction on packed rows)."""
-    rows = [b for b in m.bits if b]
-    r = 0
-    for col in range(len(m.cols)):
-        piv = None
-        for i in range(r, len(rows)):
-            if (rows[i] >> col) & 1:
-                piv = i
-                break
+def _gauss_jordan(rows, n_cols):
+    """Reduced row echelon form over F2 of packed rows, pivoting on the
+    columns 0..n_cols-1 in order (higher bits ride along).  Returns the
+    reduced rows, pivot rows first, and the pivot columns."""
+    rows = list(rows)
+    pivots = []
+    for col in range(n_cols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if (rows[i] >> col) & 1), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         for i in range(len(rows)):
-            if i != r and ((rows[i] >> col) & 1):
+            if i != r and (rows[i] >> col) & 1:
                 rows[i] ^= rows[r]
-        r += 1
-    return r
+        pivots.append(col)
+    return rows, pivots
+
+
+def invert(m):
+    """Inverse of a square F2 matrix, or None if singular: Gauss-Jordan
+    reduces [M | I] to [I | M^-1]."""
+    n = len(m.rows)
+    if n != len(m.cols):
+        return None
+    rows, pivots = _gauss_jordan([b | (1 << (n + i)) for i, b in enumerate(m.bits)], n)
+    if len(pivots) < n:
+        return None
+    return F2Matrix(m.cols, m.rows, [r >> n for r in rows])
+
+
+def rank(m):
+    """Rank over F2 of the row space (row reduction on packed rows)."""
+    return len(_gauss_jordan(m.bits, len(m.cols))[1])
+
+
+def lex_lines(text):
+    """(line number, line) for each line of a text format that holds
+    something once its #-comment is cut; blank lines are skipped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
 
 
 # -- text format ---------------------------------------------------------------
@@ -307,10 +308,7 @@ def parse_matrix(text):
     rows = cols = None
     data = []
     data_lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in lex_lines(text):
         if line.startswith("rows:"):
             rows = line[len("rows:"):].split()
             continue

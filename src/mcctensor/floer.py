@@ -298,18 +298,15 @@ def delta_k(bimod, start, inputs):
     return sorted(bag)
 
 
-def _chains_with_outputs(bimod, start, outputs):
-    """Chains of stored terms from `start` whose step outputs spell
-    `outputs`; yields (concatenated_inputs, end_generator), raw (no parity
-    reduction — the caller cancels at the term level)."""
+def _chains_with_outputs(terms_from, start, outputs):
+    """Chains of terms from `start` whose step outputs spell `outputs`,
+    where `terms_from(x)` lists the terms leaving generator x; returns
+    (concatenated_inputs, end_generator) pairs, raw, with multiplicity (no
+    parity reduction — the caller cancels at the term level)."""
     res = [((), start)]
     for target in outputs:
-        nxt = []
-        for consumed, gen in res:
-            for (x, ins, out, y) in bimod.terms_from(gen):
-                if out == target:
-                    nxt.append((consumed + ins, y))
-        res = nxt
+        res = [(consumed + ins, y) for consumed, gen in res
+               for (_, ins, out, y) in terms_from(gen) if out == target]
     return res
 
 
@@ -342,7 +339,7 @@ def box_tensor(m, n, name=None):
                 continue
             src = xn + "|" + yn
             for (x1, a_word, b_out, x2) in m.terms_from(xn):
-                for consumed, y_end in _chains_with_outputs(n, yn, a_word):
+                for consumed, y_end in _chains_with_outputs(n.terms_from, yn, a_word):
                     tgt = x2 + "|" + y_end
                     if tgt not in gen_names:
                         raise CrossCheckError(
@@ -612,13 +609,8 @@ def derived_power_certificate(base, doublings, work_cap=DERIVED_WORK_CAP,
         bag = set()
         for (x, a_word, b, x2) in table:
             for yn in right_of[idem[x][1]]:
-                # chains of sub-table terms spelling a_word, with multiplicity
-                states = [((), yn)]
-                for target in a_word:
-                    states = [(c + ins, y2) for (c, y) in states
-                              for (_, ins, out, y2) in by_src.get(y, ())
-                              if out == target]
-                for consumed, y_end in states:
+                chains = _chains_with_outputs(lambda y: by_src.get(y, ()), yn, a_word)
+                for consumed, y_end in chains:
                     bag ^= {(x + "|" + yn, consumed, b, x2 + "|" + y_end)}
         gens = box_generators(gens, gens)
         table = bag
@@ -728,11 +720,38 @@ def bimodule_to_dict(p):
     }
 
 
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _json_value(value, kind, field):
+    """`value` when it is a `kind`, else an MccError naming the JSON field."""
+    if value is None:
+        raise MccError(f"bimodule JSON: {field} is missing")
+    if not isinstance(value, kind):
+        raise MccError(f"bimodule JSON: {field} must be {_JSON_KINDS[kind]}, "
+                       f"got {type(value).__name__}")
+    return value
+
+
 def bimodule_from_dict(d, name=None):
+    """The bimodule of a parsed JSON document; a document of the wrong
+    shape raises MccError naming the first bad field."""
+    _json_value(d, dict, "the top level")
     if d.get("algebra") != "torus":
         raise MccError(f"unsupported algebra {d.get('algebra')!r}")
-    gens = [(g["name"], g["left"], g["right"]) for g in d["generators"]]
-    terms = [(t["x"], tuple(t["inputs"]), t["output"], t["y"]) for t in d["terms"]]
+    gens = []
+    for i, g in enumerate(_json_value(d.get("generators"), list, "generators")):
+        _json_value(g, dict, f"generators[{i}]")
+        gens.append(tuple(_json_value(g.get(k), str, f"generators[{i}].{k}")
+                          for k in ("name", "left", "right")))
+    terms = []
+    for i, t in enumerate(_json_value(d.get("terms"), list, "terms")):
+        _json_value(t, dict, f"terms[{i}]")
+        x, out, y = (_json_value(t.get(k), str, f"terms[{i}].{k}")
+                     for k in ("x", "output", "y"))
+        ins = _json_value(t.get("inputs"), list, f"terms[{i}].inputs")
+        terms.append((x, tuple(_json_value(a, str, f"terms[{i}].inputs[{j}]")
+                               for j, a in enumerate(ins)), out, y))
     return DABimodule(torus_algebra(), gens, terms, name=name)
 
 

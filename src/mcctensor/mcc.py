@@ -25,7 +25,7 @@ from . import towers as _tw
 from .errors import (CrossCheckError, DepthError, LabelMismatchError,
                      MccError, ParseError, SizeCapError, StabilityError,
                      TowerValidationError)
-from .f2cat import LabeledSet, product_indices
+from .f2cat import LabeledSet, lex_lines, product_indices
 
 SECTOR_ENUM_CAP = 1 << 16
 
@@ -412,10 +412,7 @@ def parse_window(text, tower=None, tower_loader=None):
     basis = None
     depth = None
     word_lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in lex_lines(text):
         if line.startswith("tower:"):
             tower_ref = line[len("tower:"):].strip()
             continue

@@ -13,9 +13,9 @@ composition_counterexample_search hunts for an explicit witness.
 
 hh0_inline_power computes the dimension of the degree-zero Hochschild-style
 quotient of n-fold chained edge words two independent ways (closed-walk
-enumeration as the production path, a literal commutator-quotient row
-reduction as the oracle), and staircase_dims tabulates the sector dimension
-level by level.
+enumeration as the production path, a count of the words the literal
+commutator relations kill as the oracle), and staircase_dims tabulates the
+sector dimension level by level.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ import random
 
 from .errors import (CompatibilityError, CrossCheckError, LabelMismatchError,
                      MccError, ParseError)
-from .f2cat import F2Matrix, LabeledSet, compose
+from .f2cat import F2Matrix, LabeledSet, compose, lex_lines
 from .mcc import MccWindow, apply_mcc
-from .towers import dyadic_solenoid
+from .towers import dyadic_solenoid, perm_cycles
 
 
 class GraphBasis:
@@ -138,21 +138,8 @@ def walks_of_length(g, length):
 def closed_walk_tensors(g, tower, m):
     """All level-m pure tensors in the solenoidal sector: functions from the
     level set to edges tracing a closed walk along every shift orbit."""
-    shift = tower.shift_perm(m)
     n = tower.size(m)
-    orbits = []
-    seen = set()
-    for i in range(n):
-        if i in seen:
-            continue
-        orb = [i]
-        seen.add(i)
-        j = shift[i]
-        while j != i:
-            orb.append(j)
-            seen.add(j)
-            j = shift[j]
-        orbits.append(orb)
+    orbits = perm_cycles(tower.shift_perm(m))
     per_orbit = [walks_of_length(g, len(orb)) for orb in orbits]
     words = []
     for combo in itertools.product(*per_orbit):
@@ -164,14 +151,16 @@ def closed_walk_tensors(g, tower, m):
     return sorted(words)
 
 
+def _closes(g, shift, w):
+    """Whether the word traces closed walks along the shift:
+    s(w(Sx)) = t(w(x)) at every position x."""
+    return all(g.s[w[shift[i]]] == g.t[w[i]] for i in range(len(w)))
+
+
 def in_sector(g, window):
     """Whether every support word traces closed walks along the shift."""
     shift = window.tower.shift_perm(window.depth)
-    for w in window.support:
-        for i in range(len(w)):
-            if g.s[w[shift[i]]] != g.t[w[i]]:
-                return False
-    return True
+    return all(_closes(g, shift, w) for w in window.support)
 
 
 def e_S_project(window, g):
@@ -182,10 +171,7 @@ def e_S_project(window, g):
             f"window basis {list(window.basis.labels)} is not the edge basis "
             f"{list(g.edges.labels)}")
     shift = window.tower.shift_perm(window.depth)
-    keep = set()
-    for w in window.support:
-        if all(g.s[w[shift[i]]] == g.t[w[i]] for i in range(len(w))):
-            keep.add(w)
+    keep = {w for w in window.support if _closes(g, shift, w)}
     return MccWindow(window.tower, window.basis, window.depth, keep)
 
 
@@ -251,31 +237,17 @@ def _chained_words(g, n):
 
 
 def hh0_quotient_dim(g, n):
-    """Oracle route: dimension of (chained n-words) / span{i_k.W - W.i_k},
-    by literal row reduction of the commutator relations over F2."""
+    """Oracle route: dimension of (chained n-words) / span{i_k.W - W.i_k}.
+
+    The relation i_k.W - W.i_k is (left - right) W with left, right in
+    {0, 1}, so over F2 every nonzero relation is the unit vector of one
+    word W.  The span of unit vectors has the number of distinct words they
+    name as its dimension, so the quotient dimension is the number of
+    chained words that no relation names."""
     words = _chained_words(g, n)
-    windex = {w: i for i, w in enumerate(words)}
-    rows = []
-    for w in words:
-        for k in g.idempotents.labels:
-            left = 1 if g.s[w[0]] == k else 0
-            right = 1 if g.t[w[-1]] == k else 0
-            if left ^ right:
-                rows.append(1 << windex[w])
-    # row reduction on packed relation vectors
-    rank = 0
-    pivots = {}
-    for vec in rows:
-        while vec:
-            low = vec & -vec
-            piv = low.bit_length() - 1
-            if piv in pivots:
-                vec ^= pivots[piv]
-            else:
-                pivots[piv] = vec
-                rank += 1
-                break
-    return len(words) - rank
+    related = {w for w in words for k in g.idempotents.labels
+               if (g.s[w[0]] == k) != (g.t[w[-1]] == k)}
+    return len(words) - len(related)
 
 
 def hh0_inline_power(g, n, cross_check=True):
@@ -302,20 +274,9 @@ def staircase_dims(g, tower, max_level):
     walk_count_cache = {}
     dims = []
     for m in range(max_level + 1):
-        shift = tower.shift_perm(m)
-        n = tower.size(m)
-        seen = set()
         total = 1
-        for i in range(n):
-            if i in seen:
-                continue
-            size = 1
-            seen.add(i)
-            j = shift[i]
-            while j != i:
-                size += 1
-                seen.add(j)
-                j = shift[j]
+        for cyc in perm_cycles(tower.shift_perm(m)):
+            size = len(cyc)
             if size not in walk_count_cache:
                 walk_count_cache[size] = len(walks_of_length(g, size))
             total *= walk_count_cache[size]
@@ -391,7 +352,8 @@ def composition_counterexample_search(g, g2=None, bound=5000, seed=0):
     rng = random.Random(seed)
     all_m = [(c, b) for c in g2.edges.labels for b in g.edges.labels]
     all_n = [(b2, c2) for b2 in g.edges.labels for c2 in g2.edges.labels]
-    depth1_words = closed_walk_tensors(g, tower, 1)
+    depth1_windows = [MccWindow(tower, g.edges, 1, {w})
+                      for w in closed_walk_tensors(g, tower, 1)]
     while trials < bound:
         m_ent = rng.sample(all_m, rng.randint(1, min(3, len(all_m))))
         n_ent = rng.sample(all_n, rng.randint(1, min(3, len(all_n))))
@@ -401,10 +363,9 @@ def composition_counterexample_search(g, g2=None, bound=5000, seed=0):
         if m_ok and n_ok:
             continue
         depth = rng.choice([0, 1])
-        pool = loop_windows if depth == 0 else [
-            MccWindow(tower, g.edges, 1, {w}) for w in depth1_words]
+        pool = loop_windows if depth == 0 else depth1_windows
         if not pool:
-            break
+            continue  # no closed walk at this depth; the other may have one
         window = rng.choice(pool)
         m_mat = F2Matrix.from_entries(g2.edges, g.edges, m_ent)
         n_mat = F2Matrix.from_entries(g.edges, g2.edges, n_ent)
@@ -428,10 +389,7 @@ def parse_graph(text):
     edges = []
     s = {}
     t = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in lex_lines(text):
         if line.startswith("idempotents:"):
             idem = line[len("idempotents:"):].split()
             continue

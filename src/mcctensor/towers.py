@@ -16,18 +16,18 @@ is "level-h invariant" when K(m, h) fixes it, which is tested on a small
 generating set of K(m, h).
 
 cc_sum evaluates the conditionally convergent sum of an F2 table over the
-level-h fixed words; for tables invariant at the summation level the result
-is independent of the level, which cc_sum re-checks by recomputation one
-level deeper.
+level-h fixed words.  For a table invariant at the summation level that sum
+is the parity of the support (the kernels are 2-groups), so it does not
+depend on the level.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .errors import (CrossCheckError, DepthError, InvarianceError,
-                     MissingShiftError, ParseError, TowerValidationError)
-from .f2cat import LabeledSet
+from .errors import (DepthError, InvarianceError, MissingShiftError,
+                     ParseError, TowerValidationError)
+from .f2cat import LabeledSet, lex_lines
 
 GROUP_SIZE_CAP = 1 << 13
 
@@ -38,6 +38,23 @@ def act_word(perm, word):
     for i, v in zip(perm, word):
         out[i] = v
     return tuple(out)
+
+
+def perm_cycles(perm):
+    """The cycles of an index permutation, fixed points included, each
+    starting at its least index, in order of those indices."""
+    seen = set()
+    cycles = []
+    for i in range(len(perm)):
+        if i not in seen:
+            cyc = [i]
+            j = perm[i]
+            while j != i:
+                cyc.append(j)
+                j = perm[j]
+            seen.update(cyc)
+            cycles.append(cyc)
+    return cycles
 
 
 def _perm_from_mapping(mapping, labels):
@@ -370,12 +387,9 @@ def dyadic_solenoid(max_level, copies=1):
 # -- invariance and the conditionally convergent sum --------------------------------
 
 def invariance_level(tower, word, m):
-    """Smallest h with the level-m word fixed by the kernel K(m, h), tested
-    on the kernel's generators."""
-    for h in range(m + 1):
-        if all(act_word(s, word) == word for s in tower.kernel_generators(m, h)):
-            return h
-    return m
+    """Smallest h with the level-m word fixed by the kernel K(m, h): a
+    permutation fixes a word iff it fixes the one-word table."""
+    return invariance_level_table(tower, {tuple(word)}, m)
 
 
 def invariance_level_table(tower, support, m):
@@ -403,15 +417,19 @@ def _invariance_witness(tower, support, m, h):
     return None
 
 
-def cc_sum(tower, basis_labels, support, depth, level, _recheck=True):
+def cc_sum(tower, basis_labels, support, depth, level):
     """Conditionally convergent sum of an F2 table over level-`level` fixed words.
 
     The table is the extension by zero of `support` (level-`depth` words over
     `basis_labels`); the sum runs over the words fixed by the scale-`level`
-    stabilizer, that is, by its generators.  The table must itself be
-    invariant at that scale — validated eagerly, with a violating orbit pair
-    in the error — and the result is independent of the level, re-checked
-    here by recomputing one level deeper (CrossCheckError on a mismatch).
+    stabilizer K = K(depth, min(level, depth)).  The table must itself be
+    K-invariant — validated eagerly on K's generators, with a violating orbit
+    pair in the error.  Then the support is a union of K-orbits, and K is a
+    2-group because the level groups are validated as 2-groups, so every
+    orbit that is not a fixed word has even size.  Hence the number of fixed
+    words in the support is congruent to its size mod 2 (the p-group
+    fixed-point congruence |X| = |X^G| mod p), and the sum is the parity of
+    the support, the same at every level where the table is invariant.
     """
     basis = set(basis_labels)
     support = frozenset(tuple(w) for w in support)
@@ -421,26 +439,13 @@ def cc_sum(tower, basis_labels, support, depth, level, _recheck=True):
                 f"support word length {len(w)} does not match level {depth}")
         if not set(w) <= basis:
             raise InvarianceError(f"support word {w!r} uses letters outside the basis")
-    eff = min(level, depth)
-    witness = _invariance_witness(tower, support, depth, eff)
+    witness = _invariance_witness(tower, support, depth, min(level, depth))
     if witness is not None:
         raise InvarianceError(
             f"table is not invariant at level {level}: words {witness[0]!r} and "
             f"{witness[1]!r} lie in one orbit but only one is in the support",
             pair=witness)
-    gens = tower.kernel_generators(depth, eff)
-    total = 0
-    for w in support:
-        if all(act_word(s, w) == w for s in gens):
-            total ^= 1
-    if _recheck and level < depth:
-        deeper = cc_sum(tower, basis_labels, support, depth, level + 1, _recheck=False)
-        if deeper != total:
-            raise CrossCheckError(
-                f"conditionally convergent sum changed across levels: {total} at "
-                f"level {level}, {deeper} at level {level + 1}",
-                values={f"level {level}": total, f"level {level + 1}": deeper})
-    return total
+    return len(support) % 2
 
 
 # -- tower text format ---------------------------------------------------------------
@@ -487,20 +492,8 @@ def parse_cycles(text, labels, lineno=None):
 
 def cycles_of(perm, labels):
     """Render an index permutation over `labels` in cycle notation."""
-    seen = set()
-    out = []
-    for i in range(len(labels)):
-        if i in seen or perm[i] == i:
-            seen.add(i)
-            continue
-        cyc = [i]
-        seen.add(i)
-        j = perm[i]
-        while j != i:
-            cyc.append(j)
-            seen.add(j)
-            j = perm[j]
-        out.append("(" + " ".join(labels[k] for k in cyc) + ")")
+    out = ["(" + " ".join(labels[k] for k in cyc) + ")"
+           for cyc in perm_cycles(perm) if len(cyc) > 1]
     return "".join(out) if out else "()"
 
 
@@ -511,10 +504,7 @@ def parse_tower(text, name=None):
     gen_lines = {}
     shift_lines = {}
     current_proj = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in lex_lines(text):
         if line.startswith("levels:"):
             try:
                 n_levels = int(line[len("levels:"):].strip())

@@ -217,7 +217,33 @@ def test_unknown_file_errors_cleanly(capsys, tmp_path):
     assert code == 2 and rep["ok"] is False
 
 
-@pytest.mark.parametrize("argv", [["verify"], ["dims", "fig8", "3"]])
+GOOD_TERM = {"x": "p", "inputs": ["r1"], "output": "r1", "y": "q"}
+GOOD_GENERATORS = [{"name": "p", "left": "i0", "right": "i0"},
+                   {"name": "q", "left": "i1", "right": "i1"}]
+
+
+@pytest.mark.parametrize("doc, field", [
+    ([], "the top level"),
+    ({"algebra": "torus", "generators": GOOD_GENERATORS}, "terms"),
+    ({"algebra": "torus", "generators": GOOD_GENERATORS,
+      "terms": [dict(GOOD_TERM, inputs=[["r1"]])]}, "terms[0].inputs[0]"),
+    ({"algebra": "torus", "generators": "p", "terms": []}, "generators"),
+    ({"algebra": "torus", "generators": [["p", "i0", "i0"]], "terms": []},
+     "generators[0]"),
+    ({"algebra": "torus", "generators": GOOD_GENERATORS,
+      "terms": [dict(GOOD_TERM, y=None)]}, "terms[0].y"),
+], ids=["top-level-list", "no-terms", "list-in-inputs", "generators-string",
+        "generator-list", "null-target"])
+def test_malformed_bimodule_json_exits_2(capsys, tmp_path, doc, field):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, rep = run_json(capsys, "hh", str(bad))
+    assert code == 2 and rep["ok"] is False
+    assert rep["error"]["type"] == "MccError"
+    assert rep["error"]["message"].startswith(f"bimodule JSON: {field} ")
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["dims", "fig8", "3"], ["hh", "box", "--power", "4"]])
 def test_report_size_does_not_depend_on_check_times(capsys, monkeypatch, argv):
     """Every check takes 3 ms in one run and 3000 ms in the other; the
     fixed-width ms field keeps the report the same length."""

@@ -382,6 +382,18 @@ def test_derived_certificate_refuses_closure_fed_unit_term():
     assert "('b', ('r12',), '1', 'c')" in str(e.value)
 
 
+def test_derived_certificate_granted_reads_the_closure():
+    # a caller's granted certificate whose extended fixpoint meets the
+    # forbidden labels: `granted` is not a constant, it follows the closure
+    box = seed_box()
+    cert = vanishing_certificate(box)
+    assert cert["granted"] is True
+    widened = dict(cert, extended_fixpoint=sorted(cert["extended_fixpoint"] + ["i0"]))
+    out = derived_power_certificate(box, 1, base_cert=widened)
+    assert out["granted"] is False
+    assert "i0" in out["extended_fixpoint"] and out["fixpoint_is_exact"] is True
+
+
 def test_hfk_dimensions_certify_each_power_once(monkeypatch):
     calls = []
     real = floer_module.vanishing_certificate

@@ -12,6 +12,8 @@ kept here as the oracle, on shared Hypothesis strategies at small sizes.
     kernel_generators                 closure equals kernel            TOWERS          every (m, h)
     dumps_bimodule, direct writer     json.dumps(indent=2, sort_keys)  renamed_boxes   P^1, P^2, P^4
     DABimodule term validation, tables per_letter_validate             mutated_terms   seed box terms
+    rank, invert: one Gauss-Jordan    loop_rank, loop_invert           square_cases    8 x 8
+    perm_cycles, cycles_of            loop_orbits, loop_cycles_of      permutations    16 points
 
 The towers are the plain solenoid, two parallel solenoids and a parsed
 tower whose level-2 group is dihedral of order 8, so that its kernels are
@@ -23,18 +25,19 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mcctensor.errors import (ChainingError, InvarianceError, LabelMismatchError,
                               StabilityError)
-from mcctensor.f2cat import F2Matrix, LabeledSet, tensor_power_finite, word_label
+from mcctensor.f2cat import (F2Matrix, LabeledSet, invert, rank, tensor_power_finite,
+                             word_label)
 from mcctensor.floer import (RHO_LABELS, UNIT, DABimodule, bimodule_to_dict,
                              box_power, cfda_ta, cfda_tb_inv, dumps_bimodule,
                              seed_box, torus_algebra)
 from mcctensor.mcc import MccWindow, apply_mcc, sector_project
-from mcctensor.towers import (act_word, cc_sum, dyadic_solenoid,
+from mcctensor.towers import (act_word, cc_sum, cycles_of, dyadic_solenoid,
                               invariance_level, invariance_level_table,
-                              parse_tower)
+                              parse_tower, perm_cycles)
 
 DIHEDRAL_TEXT = """\
 levels: 3
@@ -175,6 +178,88 @@ def per_letter_validate(p, term):
             f"the inputs end at {chain!r}")
 
 
+def loop_invert(m):
+    """Gauss-Jordan on M beside a separate identity, swapping and clearing
+    both in step."""
+    n = len(m.rows)
+    if n != len(m.cols):
+        return None
+    a = list(m.bits)
+    inv = [1 << i for i in range(n)]
+    for col in range(n):
+        piv = None
+        for r in range(col, n):
+            if (a[r] >> col) & 1:
+                piv = r
+                break
+        if piv is None:
+            return None
+        a[col], a[piv] = a[piv], a[col]
+        inv[col], inv[piv] = inv[piv], inv[col]
+        for r in range(n):
+            if r != col and ((a[r] >> col) & 1):
+                a[r] ^= a[col]
+                inv[r] ^= inv[col]
+    return F2Matrix(m.cols, m.rows, inv)
+
+
+def loop_rank(m):
+    """Row reduction of the nonzero rows, counting pivots."""
+    rows = [b for b in m.bits if b]
+    r = 0
+    for col in range(len(m.cols)):
+        piv = None
+        for i in range(r, len(rows)):
+            if (rows[i] >> col) & 1:
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(len(rows)):
+            if i != r and ((rows[i] >> col) & 1):
+                rows[i] ^= rows[r]
+        r += 1
+    return r
+
+
+def loop_orbits(perm):
+    """Cycles of a permutation, fixed points included, as the shift-orbit
+    loops of the sector enumeration and the staircase followed them."""
+    orbits = []
+    seen = set()
+    for i in range(len(perm)):
+        if i in seen:
+            continue
+        orb = [i]
+        seen.add(i)
+        j = perm[i]
+        while j != i:
+            orb.append(j)
+            seen.add(j)
+            j = perm[j]
+        orbits.append(orb)
+    return orbits
+
+
+def loop_cycles_of(perm, labels):
+    seen = set()
+    out = []
+    for i in range(len(labels)):
+        if i in seen or perm[i] == i:
+            seen.add(i)
+            continue
+        cyc = [i]
+        seen.add(i)
+        j = perm[i]
+        while j != i:
+            cyc.append(j)
+            seen.add(j)
+            j = perm[j]
+        out.append("(" + " ".join(labels[k] for k in cyc) + ")")
+    return "".join(out) if out else "()"
+
+
 # -- shared strategies ---------------------------------------------------------------
 
 towers = st.sampled_from(sorted(TOWERS)).map(TOWERS.get)
@@ -220,6 +305,18 @@ def tensor_cases(draw):
     m = draw(matrices(labeled("c", draw(st.integers(1, 3))),
                       labeled("b", draw(st.integers(1, 3)))))
     return m, LabeledSet([f"x{i}" for i in range(draw(st.integers(0, 4)))])
+
+
+@st.composite
+def square_cases(draw):
+    """A matrix of up to 8 x 8; square half of the time, where random
+    entries make singular and invertible ones both common."""
+    n = draw(st.integers(1, 8))
+    k = n if draw(st.booleans()) else draw(st.integers(1, 8))
+    return draw(matrices(labeled("r", n), labeled("c", k)))
+
+
+permutations = st.integers(0, 16).flatmap(lambda n: st.permutations(range(n))).map(tuple)
 
 
 @st.composite
@@ -407,3 +504,23 @@ def test_dumps_bimodule_escapes_like_json_dumps(p):
 def test_term_validation_matches_per_letter_loop(term):
     assert outcome(SEED_BOX._validate_term, term) == \
         outcome(per_letter_validate, SEED_BOX, term)
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_cases())
+# singular (the rows sum to zero) and invertible (unit upper triangular)
+@example(F2Matrix.from_rows(labeled("r", 3), labeled("c", 3), [[1, 1, 0], [0, 1, 1], [1, 0, 1]]))
+@example(F2Matrix.from_rows(labeled("r", 3), labeled("c", 3), [[1, 1, 0], [0, 1, 1], [0, 0, 1]]))
+def test_rank_and_invert_match_the_separate_loops(m):
+    assert rank(m) == loop_rank(m)
+    assert invert(m) == loop_invert(m)
+    if len(m.rows) == len(m.cols):
+        assert (invert(m) is None) == (rank(m) < len(m.rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(permutations)
+def test_perm_cycles_match_the_orbit_loops(perm):
+    assert perm_cycles(perm) == loop_orbits(perm)
+    labels = [f"l{i}" for i in range(len(perm))]
+    assert cycles_of(perm, labels) == loop_cycles_of(perm, labels)

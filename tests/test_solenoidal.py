@@ -239,6 +239,43 @@ def test_counterexample_search_terminates_when_all_pairs_compatible():
     assert composition_counterexample_search(single_loop(), bound=200) is None
 
 
+def two_cycle():
+    """Two idempotents and one edge each way: no loops, so no depth-0
+    closed walk and nothing for the exhaustive single-entry probe."""
+    return GraphBasis(["a", "b"], ["v", "w"], {"v": "a", "w": "b"}, {"v": "b", "w": "a"})
+
+
+def functor_law_sides(g, m_entries, n_entries, word, depth):
+    tower = dyadic_solenoid(1)
+    m = F2Matrix.from_entries(g.edges, g.edges, m_entries)
+    n = F2Matrix.from_entries(g.edges, g.edges, n_entries)
+    w = MccWindow(tower, g.edges, depth, {word})
+    lhs = e_S_project(apply_mcc(compose(n, m), w, depth), g)
+    rhs = e_S_project(apply_mcc(n, e_S_project(apply_mcc(m, w, depth), g), depth), g)
+    return lhs, rhs
+
+
+def test_loopless_two_cycle_has_a_depth_one_witness():
+    g = two_cycle()
+    assert closed_walk_tensors(g, dyadic_solenoid(1), 0) == []
+    lhs, rhs = functor_law_sides(g, [("v", "v"), ("v", "w")], [("v", "v"), ("w", "v")],
+                                 ("v", "w"), 1)
+    assert lhs != rhs
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_counterexample_search_phase_two_on_loopless_graph(seed):
+    # Phase 1 has no depth-0 window here; a depth-0 draw in Phase 2 must
+    # skip to the next trial, not end the search
+    g = two_cycle()
+    wit = composition_counterexample_search(g, seed=seed)
+    assert wit is not None and wit["depth"] == 1
+    lhs, rhs = functor_law_sides(g, wit["m_entries"], wit["n_entries"], wit["word"], 1)
+    assert lhs != rhs
+    assert sorted(lhs.support) == wit["lhs_support"]
+    assert sorted(rhs.support) == wit["rhs_support"]
+
+
 def test_graph_text_roundtrip():
     g2 = parse_graph(dump_graph(G))
     assert list(g2.idempotents.labels) == list(G.idempotents.labels)

@@ -4,10 +4,8 @@ import random
 
 import pytest
 
-from mcctensor import towers as towers_module
-from mcctensor.errors import (CrossCheckError, DepthError, InvarianceError,
-                              MissingShiftError, ParseError,
-                              TowerValidationError)
+from mcctensor.errors import (DepthError, InvarianceError, MissingShiftError,
+                              ParseError, TowerValidationError)
 from mcctensor.towers import (DyadicTower, act_word, cc_sum, dump_tower,
                               dyadic_solenoid, invariance_level,
                               invariance_level_table, parse_tower,
@@ -129,18 +127,6 @@ def test_cc_sum_rejects_non_invariant_table(tower):
     with pytest.raises(InvarianceError) as e:
         cc_sum(tower, ("x", "y"), {("x", "y")}, depth=1, level=0)
     assert e.value.pair == (("x", "y"), ("y", "x"))
-
-
-def test_cc_sum_level_recheck_is_a_cross_check(tower, monkeypatch):
-    # the recheck one level deeper goes through the module's cc_sum: make
-    # that deeper evaluation disagree
-    def flipped(*args, _recheck=True, **kwargs):
-        return cc_sum(*args, _recheck=_recheck, **kwargs) ^ 1
-
-    monkeypatch.setattr(towers_module, "cc_sum", flipped)
-    with pytest.raises(CrossCheckError) as e:
-        cc_sum(tower, ("x", "y"), {("x", "x")}, depth=1, level=0)
-    assert e.value.values == {"level 0": 1, "level 1": 0}
 
 
 def test_cc_sum_rejects_bad_words(tower):
