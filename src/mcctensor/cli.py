@@ -9,35 +9,41 @@ explicit --seed; changing the seed changes case selection, never pass/fail.
 """
 
 import argparse
+import importlib
 import json
-import random
 import re
 import sys
 import time
 
 from .errors import CertificateError, CrossCheckError, MccError
-from .f2cat import F2Matrix, LabeledSet, compose, parse_matrix
-from .mcc import MccWindow, apply_mcc, dump_window, load_window
-from .solenoidal import (
-    GraphMorphism,
-    apply_solenoidal,
-    compose_morphisms,
-    composition_counterexample_search,
-    fig8,
-    load_graph,
-    staircase_dims,
-)
-from .floer import (
-    box_power,
-    box_tensor,
-    dumps_bimodule,
-    golden_box_text,
-    hfk_dimensions,
-    hochschild_generators,
-    resolve_bimodule,
-    vanishing_certificate,
-)
-from .towers import act_word, cc_sum, dyadic_solenoid
+
+# Each command imports the layers it uses inside its own body, so that a
+# process compiles only the layers its command runs.  Nothing in the package
+# imports this module: under `python -m mcctensor.cli` that would run it a
+# second time.
+
+# layer functions the commands call, readable as `mcctensor.cli.<name>`; each
+# access reads the layer's current attribute, so none can go stale
+_LAYER_NAMES = {
+    "f2cat": ("F2Matrix", "LabeledSet", "compose", "parse_matrix"),
+    "mcc": ("MccWindow", "apply_mcc", "dump_window", "load_window"),
+    "solenoidal": ("GraphMorphism", "apply_solenoidal", "compose_morphisms",
+                   "composition_counterexample_search", "fig8", "load_graph",
+                   "staircase_dims"),
+    "floer": ("box_power", "box_tensor", "dumps_bimodule", "golden_box_text",
+              "hfk_dimensions", "hochschild_generators", "resolve_bimodule",
+              "vanishing_certificate"),
+    "towers": ("act_word", "cc_sum", "dyadic_solenoid"),
+}
+_LAYER_OF = {name: layer for layer, names in _LAYER_NAMES.items() for name in names}
+
+
+def __getattr__(name):
+    layer = _LAYER_OF.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{layer}", __package__), name)
+
 
 MAX_DEPTH_CAP = 3
 
@@ -100,148 +106,10 @@ def _emit(report):
     return 0 if report["ok"] else 1
 
 
-def _random_matrix(rng, rows, cols, density=0.5):
-    entries = [(r, c) for r in rows for c in cols if rng.random() < density]
-    return F2Matrix.from_entries(rows, cols, entries)
-
-
-def _sample_words(rng, tower, depth, letters, most):
-    pool = list(tower.words(depth, letters))
-    return rng.sample(pool, rng.randint(0, min(most, len(pool))))
-
-
-# -- verify: the eight suites ---------------------------------------------------------
-
-def _check_functoriality(rng, tower, depth_cap, cases=200):
-    """Composition law at window level: acting by NM equals acting by M then
-    N at any output depth from the window's own depth up."""
-    letters = ("a", "b", "c")
-    top = min(2, depth_cap)
-    for _ in range(cases):
-        bas_b = letters[:rng.randint(1, 3)]
-        bas_c = letters[:rng.randint(1, 3)]
-        bas_d = letters[:rng.randint(1, 3)]
-        m_mat = _random_matrix(rng, bas_c, bas_b)
-        n_mat = _random_matrix(rng, bas_d, bas_c)
-        wd = rng.randint(0, top)
-        window = MccWindow(tower, bas_b, wd,
-                           _sample_words(rng, tower, wd, bas_b, 6))
-        d = rng.randint(wd, top)
-        lhs = apply_mcc(compose(n_mat, m_mat), window, d)
-        rhs = apply_mcc(n_mat, apply_mcc(m_mat, window, d), d)
-        if lhs != rhs:
-            return {"witness": {
-                "m": m_mat.to_lists(), "n": n_mat.to_lists(),
-                "window_support": sorted(window.support),
-                "window_depth": wd, "out_depth": d,
-                "lhs": sorted(lhs.support), "rhs": sorted(rhs.support)}}
-    return {"detail": {"cases": cases}}
-
-
-def _check_sigma_levels(rng, tower, depth_cap, cases=100):
-    """The conditionally convergent sum of an invariant table is the same at
-    every evaluation level at or above the invariance level."""
-    letters = ("x", "y")
-    depth = min(3, depth_cap)
-    for _ in range(cases):
-        h = rng.randint(0, depth)
-        kern = tower.kernel(depth, h)
-        # orbit closure under the level-h kernel keeps the table invariant
-        support = set()
-        for w in _sample_words(rng, tower, depth, letters, 6):
-            for s in kern:
-                support.add(act_word(s, w))
-        values = [cc_sum(tower, letters, support, depth, lvl)
-                  for lvl in range(h, depth + 1)]
-        if len(set(values)) > 1:
-            return {"witness": {
-                "support": sorted(support), "invariance_level": h,
-                "values_by_level": values}}
-    return {"detail": {"cases": cases}}
-
-
-def _check_sector_idempotent(rng, tower, g, depth_cap, cases=60):
-    """Projecting onto the closed-walk sector twice equals projecting once."""
-    from .solenoidal import e_S_project
-
-    top = min(2, depth_cap)
-    for _ in range(cases):
-        d = rng.randint(0, top)
-        window = MccWindow(tower, g.edges, d,
-                           _sample_words(rng, tower, d, g.edges.labels, 5))
-        once = e_S_project(window, g)
-        twice = e_S_project(once, g)
-        if once != twice:
-            return {"witness": {"depth": d,
-                                "once": sorted(once.support),
-                                "twice": sorted(twice.support)}}
-    return {"detail": {"cases": cases}}
-
-
-def _random_endomorphism(rng, g):
-    """A random endpoint-compatible edge map: each edge maps to a random sum
-    of the edges sharing its endpoints."""
-    by_ends = {}
-    for e in g.edges.labels:
-        by_ends.setdefault((g.s[e], g.t[e]), []).append(e)
-    entries = []
-    for e in g.edges.labels:
-        for c in by_ends[(g.s[e], g.t[e])]:
-            if rng.random() < 0.5:
-                entries.append((c, e))
-    return GraphMorphism(g, g, entries)
-
-
-def _check_solenoidal_functor(rng, tower, g, depth_cap, cases=60):
-    """For endpoint-compatible morphisms the sector action is functorial."""
-    top1 = min(1, depth_cap)
-    top2 = min(2, depth_cap)
-    for _ in range(cases):
-        m = _random_endomorphism(rng, g)
-        n = _random_endomorphism(rng, g)
-        nm = compose_morphisms(n, m)
-        d = rng.randint(0, top1)
-        window = MccWindow(tower, g.edges, d,
-                           _sample_words(rng, tower, d, g.edges.labels, 4))
-        out_d = rng.randint(d, top2)
-        lhs = apply_solenoidal(nm, window, out_d)
-        rhs = apply_solenoidal(n, apply_solenoidal(m, window, out_d), out_d)
-        if lhs != rhs:
-            return {"witness": {
-                "m_entries": sorted(m.entries), "n_entries": sorted(n.entries),
-                "window_support": sorted(window.support), "depth": d,
-                "out_depth": out_d,
-                "lhs": sorted(lhs.support), "rhs": sorted(rhs.support)}}
-    return {"detail": {"cases": cases}}
-
-
-def _check_counterexample(seed):
-    """Incompatible morphism pairs must break the composition law; the search
-    has to produce a witness within its default trial budget."""
-    wit = composition_counterexample_search(fig8(), seed=seed)
-    if wit is None:
-        return {"witness": {"error": "no composition counterexample found "
-                                     "within the default bound"}}
-    return {"detail": {"trials": wit["trials"],
-                       "m_entries": wit["m_entries"],
-                       "n_entries": wit["n_entries"],
-                       "word": wit["word"], "depth": wit["depth"]}}
-
-
-def _check_box_golden():
-    """The computed seed box product must match the shipped table byte for
-    byte in canonical JSON form."""
-    computed = dumps_bimodule(box_tensor(
-        resolve_bimodule("tb_inv"), resolve_bimodule("ta"), name="box"))
-    golden = golden_box_text()
-    if computed != golden:
-        return {"witness": {"error": "computed box table differs from the "
-                                     "shipped golden JSON"}}
-    return {"detail": {"bytes": len(golden)}}
-
-
 def _check_certificates(depth_cap, rows_out):
     """Vanishing certificates for the 2^m-fold powers, m = 0..depth_cap."""
+    from .floer import hfk_dimensions
+
     try:
         rows = hfk_dimensions(depth_cap, cross_check=False)
     except CertificateError as e:
@@ -263,24 +131,17 @@ def _check_dimension_bridge(rows, dims):
     return {"detail": {"totals": totals}}
 
 
+# -- verify ----------------------------------------------------------------------------
+
 def cmd_verify(args):
+    from . import verify
+    from .solenoidal import fig8, staircase_dims
+    from .towers import dyadic_solenoid
+
     seed = args.seed
     depth_cap = args.depth_cap
-    tower = dyadic_solenoid(max(depth_cap, 2))
-    g = fig8()
     suite = Suite()
-    rng = random.Random(seed)
-    suite.run("functoriality-window-level",
-              lambda: _check_functoriality(rng, tower, depth_cap))
-    suite.run("sigma-level-independence",
-              lambda: _check_sigma_levels(rng, tower, depth_cap))
-    suite.run("sector-projection-idempotent",
-              lambda: _check_sector_idempotent(rng, tower, g, depth_cap))
-    suite.run("solenoidal-functor-law",
-              lambda: _check_solenoidal_functor(rng, tower, g, depth_cap))
-    suite.run("incompatible-composition-witness",
-              lambda: _check_counterexample(seed))
-    suite.run("box-table-golden-match", _check_box_golden)
+    verify.run(suite, seed, depth_cap)
     rows = []
     suite.run("vanishing-certificates",
               lambda: _check_certificates(depth_cap, rows))
@@ -295,7 +156,13 @@ def cmd_verify(args):
 # -- dims ------------------------------------------------------------------------------
 
 def cmd_dims(args):
-    fmt = args.format or args.fmt or "json"
+    from .solenoidal import load_graph, staircase_dims
+    from .towers import dyadic_solenoid
+
+    if args.fmt and args.format and args.fmt != args.format:
+        raise MccError(f"two formats given: positional {args.fmt!r} and "
+                       f"--format {args.format!r}")
+    fmt = args.fmt or args.format or "json"
     max_level = args.max_level
     if not 0 <= max_level <= MAX_DEPTH_CAP:
         raise MccError(
@@ -348,6 +215,8 @@ def cmd_dims(args):
 # -- box -------------------------------------------------------------------------------
 
 def cmd_box(args):
+    from .floer import box_power, box_tensor, dumps_bimodule, resolve_bimodule
+
     if args.power < 1:
         raise MccError("power must be >= 1")
     left = resolve_bimodule(args.left)
@@ -373,6 +242,9 @@ def cmd_box(args):
 # -- hh --------------------------------------------------------------------------------
 
 def cmd_hh(args):
+    from .floer import (box_power, hochschild_generators, resolve_bimodule,
+                        vanishing_certificate)
+
     if args.power < 1:
         raise MccError("power must be >= 1")
     p = resolve_bimodule(args.bimodule)
@@ -400,6 +272,9 @@ def cmd_hh(args):
 # -- mcc apply -------------------------------------------------------------------------
 
 def cmd_mcc_apply(args):
+    from .f2cat import parse_matrix
+    from .mcc import apply_mcc, dump_window, load_window
+
     with open(args.matrix, "r", encoding="utf-8") as fh:
         matrix = parse_matrix(fh.read())
     window = load_window(args.window)

@@ -295,6 +295,17 @@ def lex_lines(text):
             yield lineno, line
 
 
+def require_token_labels(labels, what):
+    """Refuse a label that a line-based text format cannot write as one
+    token: an empty label, one holding whitespace (which splits tokens and
+    lines) or one holding `#` (which starts a comment)."""
+    for label in labels:
+        if label.split() != [label] or "#" in label:
+            raise LabelMismatchError(
+                f"{what} label {label!r} cannot be written in the text format: "
+                f"labels must be non-empty, without whitespace or '#'")
+
+
 # -- text format ---------------------------------------------------------------
 #
 #   rows: c1 c2
@@ -331,6 +342,9 @@ def parse_matrix(text):
         data_lines.append(lineno)
     if rows is None or cols is None:
         raise ParseError("matrix file needs rows: and cols: headers", line=1)
+    if not cols and not data:
+        # rows of no entries are blank lines, which the lexer skips
+        data = [[] for _ in rows]
     if len(data) != len(rows):
         raise ParseError(
             f"expected {len(rows)} data rows, got {len(data)}",
@@ -339,6 +353,8 @@ def parse_matrix(text):
 
 
 def dump_matrix(m):
+    require_token_labels(m.rows.labels, "row")
+    require_token_labels(m.cols.labels, "column")
     lines = ["rows: " + " ".join(m.rows.labels), "cols: " + " ".join(m.cols.labels)]
     for row in m.to_lists():
         lines.append(" ".join(str(v) for v in row))

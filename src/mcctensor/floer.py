@@ -24,7 +24,6 @@ live here too.
 from __future__ import annotations
 
 import json
-from importlib import resources
 
 from .errors import (CertificateError, ChainingError, CrossCheckError,
                      LabelMismatchError, MccError, ZeroInputCycleError)
@@ -797,6 +796,10 @@ def load_bimodule(path):
 
 def golden_box_text():
     """The shipped reference JSON for the seed box product, as text."""
+    # imported on use: it pulls in pathlib, zipfile and tempfile, which the
+    # hh, box and dims commands never need
+    from importlib import resources
+
     return (resources.files("mcctensor") / "data" / "dabimod-box-final.json"
             ).read_text(encoding="utf-8")
 

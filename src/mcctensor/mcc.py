@@ -25,7 +25,7 @@ from . import towers as _tw
 from .errors import (CrossCheckError, DepthError, LabelMismatchError,
                      MccError, ParseError, SizeCapError, StabilityError,
                      TowerValidationError)
-from .f2cat import LabeledSet, lex_lines, product_indices
+from .f2cat import LabeledSet, lex_lines, product_indices, require_token_labels
 
 SECTOR_ENUM_CAP = 1 << 16
 
@@ -461,7 +461,19 @@ def parse_window(text, tower=None, tower_loader=None):
     return MccWindow(tower, basis, depth, support)
 
 
+_WINDOW_HEADERS = ("tower:", "basis:", "depth:")
+
+
 def dump_window(window, tower_ref=None):
+    labels = window.basis.labels
+    require_token_labels(labels, "basis")
+    single = all(len(b) == 1 for b in labels)
+    if not single:
+        for b in labels:
+            if "," in b:
+                raise LabelMismatchError(
+                    f"basis label {b!r} cannot be written in the text format: "
+                    f"',' separates the letters of a word over a multi-character basis")
     lines = []
     if tower_ref is None:
         name = window.tower.name or ""
@@ -471,11 +483,15 @@ def dump_window(window, tower_ref=None):
             tower_ref = f"dyadic {window.tower.max_level} x{name[len('dyadic-x'):]}"
     if tower_ref:
         lines.append(f"tower: {tower_ref}")
-    lines.append("basis: " + " ".join(window.basis.labels))
+    lines.append("basis: " + " ".join(labels))
     lines.append(f"depth: {window.depth}")
-    single = all(len(b) == 1 for b in window.basis.labels)
     for w in sorted(window.support):
-        lines.append(("".join(w) if single else ",".join(w)) + " 1")
+        word = "".join(w) if single else ",".join(w)
+        if word.startswith(_WINDOW_HEADERS):
+            raise LabelMismatchError(
+                f"word {word!r} cannot be written in the text format: "
+                f"its line would read as a header")
+        lines.append(word + " 1")
     return "\n".join(lines) + "\n"
 
 

@@ -25,7 +25,7 @@ import random
 
 from .errors import (CompatibilityError, CrossCheckError, LabelMismatchError,
                      MccError, ParseError)
-from .f2cat import F2Matrix, LabeledSet, compose, lex_lines
+from .f2cat import F2Matrix, LabeledSet, compose, lex_lines, require_token_labels
 from .mcc import MccWindow, apply_mcc
 from .towers import dyadic_solenoid, perm_cycles
 
@@ -415,6 +415,8 @@ def parse_graph(text):
 
 
 def dump_graph(g):
+    require_token_labels(g.idempotents.labels, "idempotent")
+    require_token_labels(g.edges.labels, "edge")
     lines = ["idempotents: " + " ".join(g.idempotents.labels)]
     for e in g.edges.labels:
         lines.append(f"edge {e} {g.s[e]} {g.t[e]}")

@@ -82,6 +82,17 @@ def test_dims_csv_positional_format(capsys):
     assert out == "0,5\n1,9\n2,49\n"
 
 
+def test_dims_format_given_both_ways(capsys):
+    code, out = run(capsys, "dims", "fig8", "2", "csv", "--format", "csv")
+    assert code == 0 and out == "0,5\n1,9\n2,49\n"
+    for fmt, flag in (("csv", "json"), ("json", "csv")):
+        code, rep = run_json(capsys, "dims", "fig8", "2", fmt, "--format", flag)
+        assert code == 2 and rep["ok"] is False
+        assert rep["error"]["type"] == "MccError"
+        assert repr(fmt) in rep["error"]["message"]
+        assert repr(flag) in rep["error"]["message"]
+
+
 def test_dims_json_bridges_both_paths(capsys):
     code, rep = run_json(capsys, "dims", "fig8", "3")
     assert code == 0 and rep["ok"] is True

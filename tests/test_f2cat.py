@@ -194,6 +194,51 @@ def test_matrix_text_roundtrip():
     assert parse_matrix(dump_matrix(m)) == m
 
 
+def token_label(label):
+    """Whether a line-based text format can carry `label` as one token."""
+    return label.split() == [label] and "#" not in label
+
+
+TOKEN_LABELS = st.text(min_size=1, max_size=3).filter(token_label)
+
+
+@st.composite
+def labeled_matrices(draw):
+    rows = draw(st.lists(TOKEN_LABELS, max_size=3, unique=True))
+    cols = draw(st.lists(TOKEN_LABELS, max_size=3, unique=True))
+    row = st.lists(st.integers(0, 1), min_size=len(cols), max_size=len(cols))
+    return mat(rows, cols, draw(st.lists(row, min_size=len(rows), max_size=len(rows))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(labeled_matrices())
+def test_matrix_text_round_trips(m):
+    assert parse_matrix(dump_matrix(m)) == m
+
+
+def test_matrix_without_columns_round_trips():
+    # its data rows are blank lines
+    m = mat("ab", "", [[], []])
+    assert parse_matrix(dump_matrix(m)) == m
+
+
+def test_matrix_dump_refuses_labels_that_alias():
+    # "x y" would be written as two row labels: the text then fails to parse
+    # or, with a matching row count, reads back as another matrix
+    with pytest.raises(LabelMismatchError, match="'x y'"):
+        dump_matrix(mat(["x y", "z"], "ab", [[1, 0], [0, 1]]))
+    with pytest.raises(LabelMismatchError, match="'b#'"):
+        dump_matrix(mat("a", ["b#"], [[1]]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.text(max_size=3).filter(lambda label: not token_label(label)))
+def test_matrix_dump_refuses_every_untokenizable_label(label):
+    with pytest.raises(LabelMismatchError) as e:
+        dump_matrix(mat(["a"], [label], [[1]]))
+    assert repr(label) in str(e.value)
+
+
 def test_matrix_parse_comments_and_blanks():
     text = """
     # a comment

@@ -373,6 +373,54 @@ def test_window_text_multichar_labels():
     assert parse_window(text, tower=TOWER) == w
 
 
+def token_label(label, banned):
+    return label.split() == [label] and not any(c in label for c in banned)
+
+
+@st.composite
+def labeled_windows(draw):
+    """Windows over random bases: one-character labels (',' included) or
+    longer ones, which the format joins with ','; no label holds ':', so no
+    word line reads as a header."""
+    if draw(st.booleans()):
+        labels = st.characters().filter(lambda c: token_label(c, "#:"))
+    else:
+        labels = st.text(min_size=1, max_size=3).filter(lambda s: token_label(s, "#:,"))
+    basis = draw(st.lists(labels, min_size=1, max_size=3, unique=True))
+    depth = draw(st.integers(0, 2))
+    word = st.tuples(*[st.sampled_from(basis)] * TOWER.size(depth))
+    return MccWindow(TOWER, basis, depth, draw(st.sets(word, max_size=4)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(labeled_windows())
+def test_window_text_round_trips(w):
+    back = parse_window(dump_window(w), tower=TOWER)
+    assert back == w and back.depth == w.depth and back.basis == w.basis
+
+
+@pytest.mark.parametrize("basis, bad", [
+    (["x y", "z"], "'x y'"),
+    (["x", "#"], "'#'"),
+    (["", "x"], "''"),
+    (["e1", "a,b"], "'a,b'"),
+    (["e1", ","], "','"),
+], ids=["space", "hash", "empty", "comma", "bare-comma"])
+def test_window_dump_refuses_labels_that_alias(basis, bad):
+    with pytest.raises(LabelMismatchError, match=bad):
+        dump_window(MccWindow(TOWER, basis, 0, set()))
+
+
+def test_window_dump_refuses_words_that_read_as_headers():
+    letters = list("tower:")
+    w = MccWindow(TOWER, letters, 1, {("t", "o")})
+    assert parse_window(dump_window(w), tower=TOWER) == w
+    with pytest.raises(LabelMismatchError, match="'tower:tt'"):
+        dump_window(MccWindow(TOWER, letters, 3, {tuple("tower:tt")}))
+    with pytest.raises(LabelMismatchError, match="'depth:,e'"):
+        dump_window(MccWindow(TOWER, ["depth:", "e"], 1, {("depth:", "e")}))
+
+
 def test_window_text_xor_semantics():
     w = parse_window("basis: x y\ndepth: 1\nxy 1\nxy 1\n", tower=TOWER)
     assert w.is_zero()

@@ -14,6 +14,10 @@ kept here as the oracle, on shared Hypothesis strategies at small sizes.
     DABimodule term validation, tables per_letter_validate             mutated_terms   seed box terms
     rank, invert: one Gauss-Jordan    loop_rank, loop_invert           square_cases    8 x 8
     perm_cycles, cycles_of            loop_orbits, loop_cycles_of      permutations    16 points
+    walks_of_length                   hh0_quotient_dim, listed_walks   graphs          length 4
+    closed_walk_count_trace           walks_of_length                  graphs          length 6
+    apply_mcc                         tensor_power_finite, apply       pullback_cases  C^X_out <= 64
+    box-power diagonals + 2           staircase_dims on fig8           seed box        P^1, P^2, P^4
 
 The towers are the plain solenoid, two parallel solenoids and a parsed
 tower whose level-2 group is dihedral of order 8, so that its kernels are
@@ -29,12 +33,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from mcctensor.errors import (ChainingError, InvarianceError, LabelMismatchError,
                               StabilityError)
-from mcctensor.f2cat import (F2Matrix, LabeledSet, invert, rank, tensor_power_finite,
-                             word_label)
+from mcctensor.f2cat import (F2Matrix, LabeledSet, apply, invert, rank,
+                             tensor_power_finite, word_label)
 from mcctensor.floer import (RHO_LABELS, UNIT, DABimodule, bimodule_to_dict,
                              box_power, cfda_ta, cfda_tb_inv, dumps_bimodule,
-                             seed_box, torus_algebra)
+                             hochschild_generators, seed_box, torus_algebra)
 from mcctensor.mcc import MccWindow, apply_mcc, sector_project
+from mcctensor.solenoidal import (GraphBasis, closed_walk_count_trace, fig8,
+                                  hh0_quotient_dim, staircase_dims, walks_of_length)
 from mcctensor.towers import (act_word, cc_sum, cycles_of, dyadic_solenoid,
                               invariance_level, invariance_level_table,
                               parse_tower, perm_cycles)
@@ -260,6 +266,13 @@ def loop_cycles_of(perm, labels):
     return "".join(out) if out else "()"
 
 
+def listed_walks(g, n):
+    """Every edge word of length n whose edges chain head to tail,
+    cyclically."""
+    return {w for w in itertools.product(g.edges.labels, repeat=n)
+            if all(g.t[w[i]] == g.s[w[(i + 1) % n]] for i in range(n))}
+
+
 # -- shared strategies ---------------------------------------------------------------
 
 towers = st.sampled_from(sorted(TOWERS)).map(TOWERS.get)
@@ -324,6 +337,31 @@ def tower_tables(draw):
     tower = draw(towers)
     depth = draw(st.integers(0, tower.max_level))
     return tower, depth, draw(tables(tower, depth, ("x", "y")))
+
+
+@st.composite
+def pullback_cases(draw):
+    """An action whose output depth is at least the window's, where it is
+    the tensor power over the output level applied to the pulled-back
+    window; |B| and |C| to the |X_out| are at most 64."""
+    tower = draw(towers)
+    basis = labeled("b", draw(st.integers(1, 3)))
+    out_basis = labeled("c", draw(st.integers(1, 3)))
+    out_depth = draw(st.sampled_from(
+        [d for d in range(tower.max_level + 1)
+         if max(len(basis), len(out_basis)) ** tower.size(d) <= 64]))
+    depth = draw(st.integers(0, out_depth))
+    window = MccWindow(tower, basis, depth, draw(tables(tower, depth, basis.labels)))
+    return draw(matrices(out_basis, basis)), window, out_depth
+
+
+@st.composite
+def graphs(draw):
+    idem = [f"k{i}" for i in range(draw(st.integers(1, 3)))]
+    names = [f"e{i}" for i in range(draw(st.integers(1, 5)))]
+    ends = st.sampled_from(idem)
+    return GraphBasis(idem, names, {e: draw(ends) for e in names},
+                      {e: draw(ends) for e in names})
 
 
 SEED_BOX = seed_box()
@@ -524,3 +562,34 @@ def test_perm_cycles_match_the_orbit_loops(perm):
     assert perm_cycles(perm) == loop_orbits(perm)
     labels = [f"l{i}" for i in range(len(perm))]
     assert cycles_of(perm, labels) == loop_cycles_of(perm, labels)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(), st.integers(1, 4))
+def test_walks_match_quotient_dimension_and_listing(g, n):
+    walks = walks_of_length(g, n)
+    assert len(walks) == hh0_quotient_dim(g, n)
+    assert len(set(walks)) == len(walks)
+    assert set(walks) == listed_walks(g, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(), st.integers(1, 6))
+def test_walk_trace_matches_walk_listing(g, n):
+    assert closed_walk_count_trace(g, n) == len(walks_of_length(g, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pullback_cases())
+def test_apply_mcc_matches_finite_tensor_power(case):
+    matrix, window, out_depth = case
+    out = apply_mcc(matrix, window, out_depth)
+    power = tensor_power_finite(matrix, window.tower.level(out_depth).labels)
+    pulled = window.at_depth(out_depth).support
+    assert {word_label(g) for g in out.support} == \
+        apply(power, {word_label(f) for f in pulled})
+
+
+def test_box_power_diagonals_match_staircase_dims():
+    diagonals = [len(hochschild_generators(box_power(SEED_BOX, 2 ** m))) for m in range(3)]
+    assert [d + 2 for d in diagonals] == staircase_dims(fig8(), dyadic_solenoid(2), 2)

@@ -283,6 +283,16 @@ def test_graph_text_roundtrip():
     assert g2.s == G.s and g2.t == G.t
 
 
+@pytest.mark.parametrize("idem, edges, bad", [
+    (["v w"], ["a"], "'v w'"),
+    (["v"], ["a#"], "'a#'"),
+], ids=["space", "hash"])
+def test_graph_dump_refuses_labels_that_alias(idem, edges, bad):
+    g = GraphBasis(idem, edges, {e: idem[0] for e in edges}, {e: idem[0] for e in edges})
+    with pytest.raises(LabelMismatchError, match=bad):
+        dump_graph(g)
+
+
 def test_graph_parse_errors():
     with pytest.raises(ParseError):
         parse_graph("edge a v v\n")  # no idempotents header
