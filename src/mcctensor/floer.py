@@ -24,9 +24,11 @@ live here too.
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 from .errors import (CertificateError, ChainingError, CrossCheckError,
-                     LabelMismatchError, MccError, ZeroInputCycleError)
+                     LabelMismatchError, MccError, SizeCapError,
+                     ZeroInputCycleError)
 
 RHO_LABELS = ("r1", "r2", "r3", "r12", "r23", "r123")
 IDEMPOTENT_LABELS = ("i0", "i1", "ie", "i01")
@@ -319,16 +321,26 @@ def box_generators(m_gens, n_gens):
             if xr == yl]
 
 
+BOX_GENERATOR_CAP = 1000
+
+
 def box_tensor(m, n, name=None):
     """The box tensor product M box N of type-DA bimodules.
 
     Generators are pairs with matching middle idempotents.  Each M-term with
     inputs (a_1..a_k) combines with every N-chain spelling that output word;
     the unital element additionally forwards N-terms outputting "1" at a
-    frozen M-generator.  Coefficients cancel in pairs over F2.
+    frozen M-generator.  Coefficients cancel in pairs over F2.  A product of
+    more than BOX_GENERATOR_CAP generators, counted per middle idempotent
+    before any pair is formed, raises SizeCapError.
     """
     if m.algebra is not n.algebra:
         raise LabelMismatchError("box tensor needs one algebra")
+    right_idems = Counter(xr for (_, _, xr) in m.generators)
+    size = sum(right_idems[yl] for (_, yl, _) in n.generators)
+    if size > BOX_GENERATOR_CAP:
+        raise SizeCapError(f"box product would have {size} generators, over the "
+                           f"cap {BOX_GENERATOR_CAP}")
     gens = box_generators(m.generators, n.generators)
     terms = []
     gen_names = {g for (g, _, _) in gens}
@@ -645,30 +657,34 @@ def derived_power_certificate(base, doublings, work_cap=DERIVED_WORK_CAP,
     }
 
 
-def hfk_dimensions(max_level, seed=None, cross_check=True, direct_power_cap=4):
+DIRECT_POWER_CAP = 4
+
+
+def hfk_dimensions(max_level, seed=None, cross_check=True):
     """Dimension rows for the 2^m-fold box powers, m = 0..max_level.
 
     Each row needs the vanishing certificate of that power (refusal raises
     CertificateError naming the failed property and offending term); the
     middle count is the number of diagonal generators, and the closed form
-    adds one dimension on each side.  Powers up to `direct_power_cap` are
-    assembled in full and certified by the direct fixpoint procedure; deeper
-    doublings keep only the generator pairing (the 8-fold term table runs to
-    millions of long-word terms) and are certified by the structural
-    induction on the deepest assembled power, whose certificate is computed
-    once and handed to that induction.  With cross_check=True every
-    total is compared against the level-m solenoidal staircase dimension, an
-    independent computation path.
+    adds one dimension on each side.  Powers up to DIRECT_POWER_CAP are
+    assembled in full by squaring and certified by the direct fixpoint
+    procedure; deeper doublings keep only the generator pairing (the 8-fold
+    term table runs to millions of long-word terms) and are certified by the
+    structural induction on the deepest assembled power, whose certificate
+    is computed once and handed to that induction.  With cross_check=True
+    every total is compared against the level-m solenoidal staircase
+    dimension, an independent computation path.
     """
-    p = seed if seed is not None else seed_box()
+    power = seed if seed is not None else seed_box()
     rows = []
-    cur = p
-    gens = p.generators
-    base = p
-    base_level = 0
     for m in range(max_level + 1):
-        if cur is not None:
-            cert = vanishing_certificate(cur)
+        direct = 2 ** m <= DIRECT_POWER_CAP
+        if direct:
+            if m:
+                power = box_tensor(power, power, name=f"box^{2 ** m}")
+            gens = power.generators
+            top = m
+            cert = vanishing_certificate(power)
             if not cert["granted"]:
                 bad = next((c for c in cert["checks"] if not c["ok"]), None)
                 detail = (f"{bad['name']} fails on {bad['witness']}" if bad else
@@ -678,21 +694,12 @@ def hfk_dimensions(max_level, seed=None, cross_check=True, direct_power_cap=4):
                     f"{detail}",
                     report=cert)
         else:
-            # `cert` is still the certificate of the deepest assembled power
-            derived_power_certificate(base, m - base_level, base_cert=cert)
+            gens = box_generators(gens, gens)
+            derived_power_certificate(power, m - top, base_cert=cert)
         middle = sum(1 for (_, l, r) in gens if l == r)
         rows.append({"level": m, "power": 2 ** m, "lower": 1, "middle": middle,
                      "upper": 1, "total": middle + 2,
-                     "certificate": "direct" if cur is not None else "derived"})
-        if m < max_level:
-            if cur is not None and 2 ** (m + 1) <= direct_power_cap:
-                cur = box_tensor(cur, cur, name=f"box^{2 ** (m + 1)}")
-                gens = cur.generators
-                base = cur
-                base_level = m + 1
-            else:
-                gens = box_generators(gens, gens)
-                cur = None
+                     "certificate": "direct" if direct else "derived"})
     if cross_check:
         from .solenoidal import fig8, staircase_dims
         from .towers import dyadic_solenoid

@@ -300,21 +300,16 @@ def cc_probe(lazy, probe_depth):
     "divergent through probe depth".  A deeper probe can always overturn a
     divergent verdict, never a flat tail it has actually seen.
     """
-    tower = lazy.tower
-    tower.level(probe_depth)
-    tables = [lazy.table(m) for m in range(probe_depth + 1)]
+    lazy.tower.level(probe_depth)
+    windows = [lazy.window(m) for m in range(probe_depth + 1)]
     for m in range(probe_depth):
-        got = set()
-        for w in tables[m + 1]:
-            if tower.factor_level(w, m + 1) <= m:
-                got.add(tower.compress_word(w, m + 1, m))
-        if got != set(tables[m]):
+        got = windows[m + 1].restriction_support(m)
+        if got != windows[m].support:
             raise TowerValidationError(
                 f"lazy element is not restriction-compatible at level {m}: "
                 f"level-{m + 1} table restricts to {sorted(got)} but level-{m} "
-                f"table is {sorted(tables[m])}")
-    h = [_tw.invariance_level_table(tower, tables[m], m)
-         for m in range(probe_depth + 1)]
+                f"table is {sorted(windows[m].support)}")
+    h = [w.inv_level for w in windows]
     h_star = h[probe_depth]
     stabilized = (h_star < probe_depth
                   and all(h[m] == h_star for m in range(h_star, probe_depth + 1)))

@@ -12,10 +12,10 @@ for incompatible matrices functoriality genuinely fails, and
 composition_counterexample_search hunts for an explicit witness.
 
 hh0_inline_power computes the dimension of the degree-zero Hochschild-style
-quotient of n-fold chained edge words two independent ways (closed-walk
-enumeration as the production path, a count of the words the literal
-commutator relations kill as the oracle), and staircase_dims tabulates the
-sector dimension level by level.
+quotient of n-fold chained edge words two ways (the closed walks as the
+production path, a count of the words the literal commutator relations kill
+as the oracle), and staircase_dims tabulates the sector dimension level by
+level from transfer-matrix traces, listing no walk.
 """
 
 from __future__ import annotations
@@ -113,26 +113,31 @@ def compose_morphisms(n, m):
 
 # -- closed walks and the solenoidal sector --------------------------------------
 
-def walks_of_length(g, length):
-    """All cyclically closed edge walks (e_1, ..., e_n): consecutive edges
-    chain head to tail and the last closes onto the first."""
-    if length < 1:
+def _chained_words(g, n):
+    """All chained edge words (e_1, ..., e_n), n >= 1: each edge starts
+    where the previous one ends.  The package's one walk enumerator."""
+    if n < 1:
         raise MccError("walk length must be >= 1")
     out = []
 
-    def grow(seq, first, cur):
-        if len(seq) == length:
-            if cur == g.s[first]:
-                out.append(tuple(seq))
+    def grow(seq, cur):
+        if len(seq) == n:
+            out.append(tuple(seq))
             return
         for e in g.out_edges(cur):
             seq.append(e)
-            grow(seq, first, g.t[e])
+            grow(seq, g.t[e])
             seq.pop()
 
     for e in g.edges.labels:
-        grow([e], e, g.t[e])
+        grow([e], g.t[e])
     return out
+
+
+def walks_of_length(g, length):
+    """All cyclically closed edge walks (e_1, ..., e_n): the chained words
+    whose last edge closes onto the first."""
+    return [w for w in _chained_words(g, length) if g.t[w[-1]] == g.s[w[0]]]
 
 
 def closed_walk_tensors(g, tower, m):
@@ -183,7 +188,7 @@ def apply_solenoidal(morph, window, out_depth, strict=False):
         raise LabelMismatchError("window basis does not match the morphism source")
     if not in_sector(morph.src, window):
         if strict:
-            bad = sorted(w for w in window.support)[:3]
+            bad = sorted(window.support - e_S_project(window, morph.src).support)[:3]
             raise MccError(
                 f"window is not in the solenoidal sector (e.g. {bad}); "
                 f"pass strict=False to project first")
@@ -211,29 +216,15 @@ def _mat_mul(a, b):
 
 
 def closed_walk_count_trace(g, length):
-    """#closed walks of the given length via the transfer-matrix trace."""
+    """#closed walks of the given length (>= 1) via the transfer-matrix
+    trace: trace(T^n) counts the closed n-walks (Stanley, EC1 §4.7)."""
+    if length < 1:
+        raise MccError("walk length must be >= 1")
     t = transfer_matrix(g)
     acc = t
     for _ in range(length - 1):
         acc = _mat_mul(acc, t)
     return sum(acc[i][i] for i in range(len(acc)))
-
-
-def _chained_words(g, n):
-    out = []
-
-    def grow(seq, cur):
-        if len(seq) == n:
-            out.append(tuple(seq))
-            return
-        for e in g.out_edges(cur):
-            seq.append(e)
-            grow(seq, g.t[e])
-            seq.pop()
-
-    for e in g.edges.labels:
-        grow([e], g.t[e])
-    return out
 
 
 def hh0_quotient_dim(g, n):
@@ -243,7 +234,8 @@ def hh0_quotient_dim(g, n):
     {0, 1}, so over F2 every nonzero relation is the unit vector of one
     word W.  The span of unit vectors has the number of distinct words they
     name as its dimension, so the quotient dimension is the number of
-    chained words that no relation names."""
+    chained words that no relation names.  It shares _chained_words, the
+    quotient's domain, with walks_of_length, the production path."""
     words = _chained_words(g, n)
     related = {w for w in words for k in g.idempotents.labels
                if (g.s[w[0]] == k) != (g.t[w[-1]] == k)}
@@ -254,8 +246,9 @@ def hh0_inline_power(g, n, cross_check=True):
     """Dimension and class representatives of the degree-zero quotient of
     n-fold chained edge words by the idempotent commutator relations.
 
-    The production path enumerates cyclically closed walks; with
-    cross_check=True the independent quotient oracle must agree.
+    The production path lists the cyclically closed walks; with
+    cross_check=True the quotient oracle must agree.  Both read the chained
+    words of _chained_words, the domain the quotient is defined on.
     """
     reps = walks_of_length(g, n)
     dim = len(reps)
@@ -270,16 +263,13 @@ def hh0_inline_power(g, n, cross_check=True):
 
 def staircase_dims(g, tower, max_level):
     """Sector dimension at each level 0..max_level: the number of closed-walk
-    tensors, computed as a product of per-shift-orbit walk counts."""
-    walk_count_cache = {}
+    tensors, the product over the shift cycles of the closed-walk count of
+    each cycle's length, read from the transfer-matrix trace."""
     dims = []
     for m in range(max_level + 1):
         total = 1
         for cyc in perm_cycles(tower.shift_perm(m)):
-            size = len(cyc)
-            if size not in walk_count_cache:
-                walk_count_cache[size] = len(walks_of_length(g, size))
-            total *= walk_count_cache[size]
+            total *= closed_walk_count_trace(g, len(cyc))
         dims.append(total)
     return dims
 

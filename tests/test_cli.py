@@ -158,6 +158,16 @@ def test_box_power_zero_rejected(capsys):
     assert code == 2 and rep["error"]["type"] == "MccError"
 
 
+@pytest.mark.parametrize("argv", [("hh", "box", "--power", "8"),
+                                  ("box", "box", "box", "--power", "4")])
+def test_box_power_over_the_generator_cap_exits_2(capsys, argv):
+    code, rep = run_json(capsys, *argv)
+    assert code == 2
+    assert rep == {"command": argv[0], "ok": False, "error": {
+        "type": "SizeCapError",
+        "message": "box product would have 4181 generators, over the cap 1000"}}
+
+
 def test_hh_seed_box(capsys):
     code, rep = run_json(capsys, "hh", "box")
     assert code == 0 and rep["ok"] is True

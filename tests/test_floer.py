@@ -11,7 +11,7 @@ import pytest
 import mcctensor.floer as floer_module
 import mcctensor.solenoidal as solenoidal_module
 from mcctensor.errors import (CertificateError, ChainingError, CrossCheckError,
-                              LabelMismatchError, MccError,
+                              LabelMismatchError, MccError, SizeCapError,
                               ZeroInputCycleError)
 from mcctensor.floer import (DABimodule, TorusAlgebra, bimodule_from_dict,
                              bimodule_to_dict, box_generators, box_power,
@@ -224,6 +224,14 @@ def test_box_power_sizes():
     assert len(p4.generators) == 89 and len(p4.terms) == 4095
 
 
+def test_box_tensor_refuses_products_over_the_generator_cap():
+    p4 = box_power(seed_box(), 4)
+    with pytest.raises(SizeCapError, match="4181 generators, over the cap 1000"):
+        box_tensor(p4, p4)
+    # the count is taken per middle idempotent, before any pair is formed
+    assert len(box_generators(p4.generators, p4.generators)) == 4181
+
+
 def test_hochschild_generators():
     assert hochschild_generators(seed_box()) == ["p|f", "q|g", "r|h"]
     assert len(hochschild_generators(box_power(seed_box(), 2))) == 7
@@ -401,6 +409,16 @@ def test_hfk_dimensions_certify_each_power_once(monkeypatch):
                         lambda p: calls.append(len(p.terms)) or real(p))
     hfk_dimensions(3, cross_check=False)
     assert calls == [21, 105, 4095]
+
+
+def test_hfk_dimensions_derive_deeper_powers_from_the_deepest_assembled(monkeypatch):
+    calls = []
+    real = floer_module.derived_power_certificate
+    monkeypatch.setattr(floer_module, "derived_power_certificate",
+                        lambda base, doublings, **kw: calls.append(
+                            (len(base.generators), doublings)) or real(base, doublings, **kw))
+    hfk_dimensions(3, cross_check=False)
+    assert calls == [(89, 1)]
 
 
 # -- cross-checks raise CrossCheckError, also under python -O -------------------------

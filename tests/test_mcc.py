@@ -332,6 +332,15 @@ def test_lazy_tower_restriction_compat_enforced():
         cc_probe(bad, 1)
 
 
+def test_cc_probe_names_the_incompatible_restriction():
+    bad = LazyTower(TOWER, XY, lambda m: {("x", "x")} if m == 1 else set())
+    with pytest.raises(TowerValidationError) as e:
+        cc_probe(bad, 2)
+    assert str(e.value) == (
+        "lazy element is not restriction-compatible at level 0: level-1 table "
+        "restricts to [('x',)] but level-0 table is []")
+
+
 def test_cc_probe_divergent_series():
     rep = cc_probe(single_spike_series(TOWER), 3)
     assert [l["inv_level"] for l in rep["levels"]] == [0, 1, 2, 3]

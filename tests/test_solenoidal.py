@@ -62,6 +62,13 @@ def test_walk_counts_match_transfer_trace():
     assert closed_walk_count_trace(G, 8) == 2209
 
 
+def test_walk_counts_refuse_length_zero():
+    with pytest.raises(MccError, match="walk length must be >= 1"):
+        closed_walk_count_trace(G, 0)
+    with pytest.raises(MccError, match="walk length must be >= 1"):
+        hh0_quotient_dim(G, 0)
+
+
 def test_transfer_matrix_entries():
     assert transfer_matrix(G) == [
         [1, 0, 0, 0],
@@ -85,6 +92,29 @@ def test_staircase_dims_fig8():
 
 def test_staircase_dims_single_loop():
     assert staircase_dims(single_loop(), TOWER, 2) == [1, 1, 1]
+
+
+def lucas(n):
+    a, b = 2, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+def test_staircase_dims_fig8_are_lucas_numbers():
+    # fig8's transfer matrix is (1) + [[1,1],[1,2]] + (1), whose 2-by-2 block
+    # has trace(C^k) = L(2k); a third check beside the trace and the box side
+    dims = staircase_dims(G, dyadic_solenoid(5), 5)
+    assert dims == [lucas(2 ** (m + 1)) + 2 for m in range(6)]
+    assert dims[-1] == 23_725_150_497_409
+
+
+def test_staircase_dims_list_no_walk(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("staircase_dims listed walks")
+    monkeypatch.setattr(solenoidal_module, "walks_of_length", refuse)
+    monkeypatch.setattr(solenoidal_module, "_chained_words", refuse)
+    assert staircase_dims(G, dyadic_solenoid(3), 3) == [5, 9, 49, 2209]
 
 
 def test_in_sector_and_projection():
@@ -142,6 +172,15 @@ def test_apply_solenoidal_strict_rejects_off_sector():
         apply_solenoidal(swap_xy_morphism(), off, 1, strict=True)
     # non-strict first projects the stray support away
     assert apply_solenoidal(swap_xy_morphism(), off, 1).is_zero()
+
+
+def test_apply_solenoidal_strict_names_only_off_sector_words():
+    from mcctensor.solenoidal import apply_solenoidal
+    w = MccWindow(TOWER, G.edges, 0, {("t",), ("v",)})
+    with pytest.raises(MccError) as e:
+        apply_solenoidal(swap_xy_morphism(), w, 0, strict=True)
+    assert "(e.g. [('v',)])" in str(e.value)
+    assert "('t',)" not in str(e.value)
 
 
 def random_compatible_endomorphism(rng):
@@ -281,6 +320,28 @@ def test_graph_text_roundtrip():
     assert list(g2.idempotents.labels) == list(G.idempotents.labels)
     assert list(g2.edges.labels) == list(G.edges.labels)
     assert g2.s == G.s and g2.t == G.t
+
+
+TOKEN_LABELS = st.text(min_size=1, max_size=3).filter(
+    lambda label: label.split() == [label] and "#" not in label)
+
+
+@st.composite
+def token_graphs(draw):
+    idem = draw(st.lists(TOKEN_LABELS, min_size=1, max_size=3, unique=True))
+    edges = draw(st.lists(TOKEN_LABELS, max_size=4, unique=True))
+    ends = st.sampled_from(idem)
+    return GraphBasis(idem, edges, {e: draw(ends) for e in edges},
+                      {e: draw(ends) for e in edges})
+
+
+@settings(max_examples=200, deadline=None)
+@given(token_graphs())
+def test_graph_text_round_trips(g):
+    g2 = parse_graph(dump_graph(g))
+    assert list(g2.idempotents.labels) == list(g.idempotents.labels)
+    assert list(g2.edges.labels) == list(g.edges.labels)
+    assert g2.s == g.s and g2.t == g.t
 
 
 @pytest.mark.parametrize("idem, edges, bad", [
