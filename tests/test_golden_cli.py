@@ -1,0 +1,25 @@
+"""Every CLI report in `tests/golden/cli/` is reproduced byte for byte, apart
+from check timings and temp paths (see `tests/golden/regen.py`)."""
+
+import importlib.util
+import os
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "golden_regen", os.path.join(os.path.dirname(__file__), "golden", "regen.py"))
+regen = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(regen)
+
+
+@pytest.mark.parametrize("name", sorted(regen.CASES))
+def test_cli_report_matches_golden(name):
+    with open(regen.golden_path(name), encoding="utf-8") as fh:
+        golden = fh.read()
+    assert regen.render(name) == golden
+
+
+def test_ms_token_replaces_only_fixed_width_timings():
+    text = '"ms":       3,\n"ms": 3,\n"msx":       3\n"ms":    12345678'
+    assert regen._block("t", text, "/nowhere") == \
+        '--- t\n"ms": <ms>,\n"ms": 3,\n"msx":       3\n"ms":    12345678'
