@@ -23,12 +23,11 @@ _LAYERS = {
     ),
     "f2cat": ("F2Matrix", "LabeledSet", "compose", "tensor_power_finite"),
     "towers": ("DyadicTower", "dyadic_solenoid", "invariance_level", "cc_sum"),
-    "mcc": ("MccWindow", "apply_mcc", "staircase_position", "quotient_class",
-            "sector_project", "cc_probe"),
+    "mcc": ("MccWindow", "apply_mcc", "staircase_position", "cc_probe"),
     "solenoidal": ("GraphBasis", "GraphMorphism", "fig8", "e_S_project",
                    "apply_solenoidal", "staircase_dims"),
     "floer": (
-        "TorusAlgebra", "torus_algebra", "DABimodule", "delta_k", "box_tensor",
+        "TorusAlgebra", "torus_algebra", "DABimodule", "box_tensor",
         "box_power", "hochschild_generators", "vanishing_certificate",
         "derived_power_certificate", "hfk_dimensions", "cfda_tb_inv", "cfda_ta",
         "seed_box",

@@ -219,7 +219,7 @@ def product_indices(choices, radix):
     return out
 
 
-def tensor_power_finite(m, x, max_entries=DEFAULT_ENTRY_CAP):
+def tensor_power_finite(m, x):
     """The finite tensor power M^{tensor X} for a labeled finite set X.
 
     Rows are Fun(X, C) and columns Fun(X, B), both enumerated in
@@ -229,16 +229,17 @@ def tensor_power_finite(m, x, max_entries=DEFAULT_ENTRY_CAP):
     g's set bits are the column words in the product over positions x of
     rowsupp(g(x)) = {b : M(g(x), b) = 1}, packed by `product_indices`.
     Cost: O(|C|^|X| * |X|) plus the number of nonzero entries, not
-    |C|^|X| * |B|^|X| * |X|.
+    |C|^|X| * |B|^|X| * |X|.  Over DEFAULT_ENTRY_CAP entries it raises
+    SizeCapError.
     """
     if not isinstance(x, LabeledSet):
         x = LabeledSet(x)
     n = len(x)
     n_rows = len(m.rows) ** n
     n_cols = len(m.cols) ** n
-    if n_rows * n_cols > max_entries:
-        raise SizeCapError(
-            f"tensor power would have {n_rows}x{n_cols} entries, over the cap {max_entries}")
+    if n_rows * n_cols > DEFAULT_ENTRY_CAP:
+        raise SizeCapError(f"tensor power would have {n_rows}x{n_cols} entries, "
+                           f"over the cap {DEFAULT_ENTRY_CAP}")
     n_b = len(m.cols)
     rowsupp = [[j for j in range(n_b) if (b >> j) & 1] for b in m.bits]
     row_words = list(itertools.product(range(len(m.rows)), repeat=n))

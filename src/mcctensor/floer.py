@@ -245,11 +245,6 @@ class DABimodule:
     def terms_from(self, x):
         return self._by_source.get(x, [])
 
-    def delta1(self, x, inputs):
-        """Stored terms eating exactly these inputs at x: [(output, y)]."""
-        inputs = tuple(inputs)
-        return sorted((t[2], t[3]) for t in self.terms_from(x) if t[1] == inputs)
-
     def gen_names(self):
         return [g for (g, _, _) in self.generators]
 
@@ -265,38 +260,6 @@ class DABimodule:
         nm = f" {self.name!r}" if self.name else ""
         return (f"DABimodule{nm}({len(self.generators)} generators, "
                 f"{len(self.terms)} terms)")
-
-
-def delta_k(bimod, start, inputs):
-    """All chains of stored terms from `start` consuming `inputs` in
-    consecutive (possibly empty) blocks, as a parity-reduced sorted list of
-    (output_tuple, end_generator).  The empty chain ((), start) appears when
-    the input word is empty."""
-    if start not in bimod.idem:
-        raise LabelMismatchError(f"unknown generator {start!r}")
-    word = tuple(inputs)
-    memo = {}
-
-    def go(gen, idx):
-        key = (gen, idx)
-        if key in memo:
-            return memo[key]
-        memo[key] = []  # zero-input acyclicity keeps re-entry finite
-        res = []
-        if idx == len(word):
-            res.append(((), gen))
-        for (x, ins, out, y) in bimod.terms_from(gen):
-            k = len(ins)
-            if word[idx:idx + k] == ins:
-                for outs, end in go(y, idx + k):
-                    res.append(((out,) + outs, end))
-        memo[key] = res
-        return res
-
-    bag = set()
-    for item in go(start, 0):
-        bag ^= {item}
-    return sorted(bag)
 
 
 def _chains_with_outputs(terms_from, start, outputs):
@@ -466,46 +429,29 @@ def vanishing_certificate(p):
     """
     alg = p.algebra
     forbidden = frozenset(FORBIDDEN_EDGE_LABELS)
-    checks = []
 
-    witness = next((t for t in p.sorted_terms
-                    if t[2] == "r2" and "r2" not in t[1]), None)
-    checks.append({"name": "P1-r2-output-needs-r2-input",
-                   "ok": witness is None,
-                   "witness": list(witness) if witness else None})
-
-    witness = None
-    for a in alg.basis:
-        for b in alg.basis:
-            if alg.mult(a, b) == "r2" and "r2" not in (a, b):
-                witness = (a, b)
-                break
-        if witness:
-            break
-    checks.append({"name": "P2-r2-product-needs-r2-operand",
-                   "ok": witness is None,
-                   "witness": list(witness) if witness else None})
-
-    unitlike = {UNIT}.union(a for a in alg.basis if alg.is_idempotent(a))
-    witness = next((t for t in p.sorted_terms
-                    if t[2] in unitlike and forbidden.isdisjoint(t[1])), None)
-    checks.append({"name": "P3-unit-output-needs-forbidden-input",
-                   "ok": witness is None,
-                   "witness": list(witness) if witness else None})
-
-    witness = None
+    # P2 and P4: the first offending operand pair of each, in one scan
+    p2 = p4 = None
     for a in alg.basis:
         for b in alg.basis:
             ab = alg.mult(a, b)
-            if ab is not None and alg.is_idempotent(ab):
-                if not (alg.is_idempotent(a) or alg.is_idempotent(b)):
-                    witness = (a, b)
-                    break
-        if witness:
-            break
-    checks.append({"name": "P4-idempotent-product-needs-idempotent-operand",
-                   "ok": witness is None,
-                   "witness": list(witness) if witness else None})
+            if p2 is None and ab == "r2" and "r2" not in (a, b):
+                p2 = (a, b)
+            if (p4 is None and ab is not None and alg.is_idempotent(ab)
+                    and not (alg.is_idempotent(a) or alg.is_idempotent(b))):
+                p4 = (a, b)
+    unitlike = {UNIT}.union(a for a in alg.basis if alg.is_idempotent(a))
+    witnesses = (
+        ("P1-r2-output-needs-r2-input",
+         next((t for t in p.sorted_terms if t[2] == "r2" and "r2" not in t[1]), None)),
+        ("P2-r2-product-needs-r2-operand", p2),
+        ("P3-unit-output-needs-forbidden-input",
+         next((t for t in p.sorted_terms
+               if t[2] in unitlike and forbidden.isdisjoint(t[1])), None)),
+        ("P4-idempotent-product-needs-idempotent-operand", p4),
+    )
+    checks = [{"name": name, "ok": w is None, "witness": list(w) if w else None}
+              for name, w in witnesses]
 
     # spontaneous closure: zero-input outputs, closed under nonzero products
     fix = _close_products(alg, {t[2] for t in p.terms if not t[1]})
@@ -542,8 +488,7 @@ def vanishing_certificate(p):
 DERIVED_WORK_CAP = 1 << 17
 
 
-def derived_power_certificate(base, doublings, work_cap=DERIVED_WORK_CAP,
-                              base_cert=None):
+def derived_power_certificate(base, doublings, base_cert=None):
     """Certificate for the 2^doublings-fold box power of `base`, derived by
     structural induction instead of assembling the power's term table (which
     grows into millions of long-word terms past the 4-fold power).
@@ -574,9 +519,9 @@ def derived_power_certificate(base, doublings, work_cap=DERIVED_WORK_CAP,
     an r2 (P3 + chord-only inputs), which the granted base keeps out of E.
     So E stays a sound bound for every reachable output at every depth.
     Premises are checked mechanically on the materialized base; if the
-    generator or sub-table size passes `work_cap` the exact iteration stops
-    and the reported fixpoint falls back to the (still sound) bound E, with
-    fixpoint_is_exact set to False.  `base_cert` is the base's vanishing
+    generator or sub-table size passes DERIVED_WORK_CAP the exact iteration
+    stops and the reported fixpoint falls back to the (still sound) bound E,
+    with fixpoint_is_exact set to False.  `base_cert` is the base's vanishing
     certificate when the caller has already computed it.
     """
     if doublings < 0:
@@ -608,7 +553,7 @@ def derived_power_certificate(base, doublings, work_cap=DERIVED_WORK_CAP,
     fix_by_doubling = [sorted(cert["fixpoint"])]
     exact_through = 0
     for step in range(doublings):
-        if len(gens) > work_cap or len(table) > work_cap:
+        if len(gens) > DERIVED_WORK_CAP or len(table) > DERIVED_WORK_CAP:
             break
         by_src = {}
         for t in table:

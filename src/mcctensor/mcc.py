@@ -11,23 +11,19 @@ output window at depth M' is the exact depth-M' restriction of M^{tensor X}
 applied to the element the window represents, computed at the working level
 max(M, M') where both windows live as honest finite tensors.
 
-The staircase invariants (invariance level h, first nonvanishing depth d),
-quotient classes at a level, sector projections, and the cc_probe for lazily
-presented inverse-limit elements round out the module.
+The staircase invariants (invariance level h, first nonvanishing depth d)
+and the cc_probe for lazily presented inverse-limit elements round out the
+module.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 from . import towers as _tw
 from .errors import (CrossCheckError, DepthError, LabelMismatchError,
-                     MccError, ParseError, SizeCapError, StabilityError,
-                     TowerValidationError)
+                     ParseError, TowerValidationError)
 from .f2cat import LabeledSet, lex_lines, product_indices, require_token_labels
-
-SECTOR_ENUM_CAP = 1 << 16
 
 
 class MccWindow:
@@ -68,11 +64,8 @@ class MccWindow:
         """Support of the restriction of the table to B^{X_d}, d <= depth."""
         if d > self.depth:
             raise DepthError(f"restriction level {d} exceeds depth {self.depth}")
-        out = set()
-        for w in self.support:
-            if self.tower.factor_level(w, self.depth) <= d:
-                out.add(self.tower.compress_word(w, self.depth, d))
-        return frozenset(out)
+        factored = (self.tower.compress_word(w, self.depth, d) for w in self.support)
+        return frozenset(w for w in factored if w is not None)
 
     def restriction_is_zero(self, m):
         """Whether the table restricts to zero on B^{X_m}."""
@@ -107,12 +100,13 @@ class MccWindow:
         return self.at_depth(d).support == other.at_depth(d).support
 
     def __hash__(self):
-        # the canonical form: the support compressed to the deepest level
-        # any word needs, which pulling back (at_depth) leaves unchanged
-        tower, depth = self.tower, self.depth
-        top = max((tower.factor_level(w, depth) for w in self.support), default=0)
-        return hash((self.basis, top, frozenset(
-            tower.compress_word(w, depth, top) for w in self.support)))
+        # the canonical form: the support compressed to the least level all
+        # its words factor through, which pulling back (at_depth) leaves
+        # unchanged
+        for h in range(self.depth + 1):
+            low = self.restriction_support(h)
+            if len(low) == len(self.support):
+                return hash((self.basis, h, low))
 
     def __repr__(self):
         words = sorted("".join(w) if all(len(x) == 1 for x in w) else str(w)
@@ -206,57 +200,11 @@ def staircase_position(window):
     return (h, d)
 
 
-def quotient_class(window, level):
-    """The class of the window in the level-`level` staircase quotient,
-    represented as a window at that depth.  Requires level >= inv_level."""
-    if level < window.inv_level:
-        raise MccError(
-            f"quotient level {level} is below the invariance level "
-            f"{window.inv_level}")
-    window.tower.level(level)
-    return window.at_depth(level)
-
-
-def sector_project(window, part_of_basis, allowed, enum_cap=SECTOR_ENUM_CAP):
-    """Project onto the sector of pure tensors whose letter-wise image under
-    `part_of_basis` satisfies the `allowed` predicate.
-
-    `part_of_basis` maps basis labels to part labels; `allowed` takes a word
-    of part labels at the window's depth.  The predicate must be stable under
-    the tower action at the window's invariance level — validated over the
-    full part-word space against the kernel's generators (stable under each
-    generator means constant on every orbit), with a witness orbit pair on
-    failure.
-    """
-    miss = [b for b in window.basis.labels if b not in part_of_basis]
-    if miss:
-        raise LabelMismatchError(f"part_of_basis misses basis labels {miss}")
-    tower, depth = window.tower, window.depth
-    parts = sorted(set(part_of_basis.values()))
-    n_words = len(parts) ** tower.size(depth) if parts else 0
-    if n_words > enum_cap:
-        raise SizeCapError(
-            f"sector stability check needs {n_words} part words, over the cap {enum_cap}")
-    gens = tower.kernel_generators(depth, min(window.inv_level, depth))
-    for alpha in itertools.product(parts, repeat=tower.size(depth)):
-        v = bool(allowed(alpha))
-        for sigma in gens:
-            moved = _tw.act_word(sigma, alpha)
-            if bool(allowed(moved)) != v:
-                raise StabilityError(
-                    f"sector predicate is unstable at level {window.inv_level}: "
-                    f"words {alpha!r} and {moved!r} share an orbit but disagree",
-                    witness=(alpha, moved))
-    keep = {w for w in window.support
-            if allowed(tuple(part_of_basis[l] for l in w))}
-    return MccWindow(tower, window.basis, depth, keep)
-
-
 class LazyTower:
     """An inverse-limit element presented lazily: a generator callable maps a
     level m to the F2 table (support set) on B^{X_m}.  No invariance is
     required; restriction compatibility across levels is checked when the
-    element is probed."""
+    element is probed.  Each level's window is built, and checked, once."""
 
     def __init__(self, tower, basis, generator, name=None):
         if not isinstance(basis, LabeledSet):
@@ -265,28 +213,17 @@ class LazyTower:
         self.basis = basis
         self.generator = generator
         self.name = name
-        self._cache = {}
-
-    def table(self, m):
-        if m not in self._cache:
-            self.tower.level(m)
-            size = self.tower.size(m)
-            sup = set()
-            for w in self.generator(m):
-                w = tuple(w)
-                if len(w) != size:
-                    raise DepthError(
-                        f"generator returned a word of length {len(w)} at level {m}")
-                if any(l not in self.basis for l in w):
-                    raise LabelMismatchError(
-                        f"generator word {w!r} leaves the basis at level {m}")
-                sup.add(w)
-            self._cache[m] = frozenset(sup)
-        return self._cache[m]
+        self._windows = {}
 
     def window(self, depth):
         """The depth-`depth` truncation as a window (extension by zero)."""
-        return MccWindow(self.tower, self.basis, depth, self.table(depth))
+        if depth not in self._windows:
+            self._windows[depth] = MccWindow(self.tower, self.basis, depth,
+                                             self.generator(depth))
+        return self._windows[depth]
+
+    def table(self, m):
+        return self.window(m).support
 
 
 def cc_probe(lazy, probe_depth):

@@ -97,10 +97,6 @@ class GraphMorphism:
         return F2Matrix.from_entries(self.dst.edges, self.src.edges, self.entries)
 
 
-def identity_morphism(g):
-    return GraphMorphism(g, g, [(e, e) for e in g.edges.labels])
-
-
 def compose_morphisms(n, m):
     """Composite morphism (apply m first); compatibility survives composition."""
     if n.src is not m.dst and n.src.edges != m.dst.edges:
@@ -180,18 +176,13 @@ def e_S_project(window, g):
     return MccWindow(window.tower, window.basis, window.depth, keep)
 
 
-def apply_solenoidal(morph, window, out_depth, strict=False):
-    """Act on a sector window by an endpoint-compatible morphism:
-    project into the source sector (or error under strict=True when the
-    input strays), apply the tensor power, project into the target sector."""
+def apply_solenoidal(morph, window, out_depth):
+    """Act on a sector window by an endpoint-compatible morphism: project
+    into the source sector, apply the tensor power, project into the target
+    sector."""
     if window.basis != morph.src.edges:
         raise LabelMismatchError("window basis does not match the morphism source")
     if not in_sector(morph.src, window):
-        if strict:
-            bad = sorted(window.support - e_S_project(window, morph.src).support)[:3]
-            raise MccError(
-                f"window is not in the solenoidal sector (e.g. {bad}); "
-                f"pass strict=False to project first")
         window = e_S_project(window, morph.src)
     moved = apply_mcc(morph.matrix(), window, out_depth)
     return e_S_project(moved, morph.dst)
@@ -242,22 +233,21 @@ def hh0_quotient_dim(g, n):
     return len(words) - len(related)
 
 
-def hh0_inline_power(g, n, cross_check=True):
+def hh0_inline_power(g, n):
     """Dimension and class representatives of the degree-zero quotient of
     n-fold chained edge words by the idempotent commutator relations.
 
-    The production path lists the cyclically closed walks; with
-    cross_check=True the quotient oracle must agree.  Both read the chained
-    words of _chained_words, the domain the quotient is defined on.
+    The production path lists the cyclically closed walks, and the quotient
+    oracle must agree.  Both read the chained words of _chained_words, the
+    domain the quotient is defined on.
     """
     reps = walks_of_length(g, n)
     dim = len(reps)
-    if cross_check:
-        oracle = hh0_quotient_dim(g, n)
-        if oracle != dim:
-            raise CrossCheckError(
-                f"quotient oracle gives {oracle}, walk enumeration gives {dim}",
-                values={"n": n, "oracle": oracle, "walks": dim})
+    oracle = hh0_quotient_dim(g, n)
+    if oracle != dim:
+        raise CrossCheckError(
+            f"quotient oracle gives {oracle}, walk enumeration gives {dim}",
+            values={"n": n, "oracle": oracle, "walks": dim})
     return dim, reps
 
 
@@ -276,25 +266,22 @@ def staircase_dims(g, tower, max_level):
 
 # -- functoriality counterexample search --------------------------------------------
 
-def _single_entry(rows, cols, r, c):
-    return F2Matrix.from_entries(rows, cols, [(r, c)])
+def _edge_matrix(g, entries):
+    return F2Matrix.from_entries(g.edges, g.edges, entries)
 
 
-def _endpoint_compatible(gc, c, gb, b):
-    return gc.s[c] == gb.s[b] and gc.t[c] == gb.t[b]
+def _endpoint_compatible(g, c, b):
+    return g.s[c] == g.s[b] and g.t[c] == g.t[b]
 
 
-def composition_counterexample_search(g, g2=None, bound=5000, seed=0):
-    """Search for matrices M: edges(g) -> edges(g2) and N back again whose
-    solenoidal actions fail (NM)_S = N_S M_S, together with a window
-    witnessing it.  Only endpoint-incompatible pairs are eligible — for
-    compatible morphisms the functor law is a theorem, not a search target.
+def composition_counterexample_search(g, bound=5000, seed=0):
+    """Search for edge matrices M and N of g whose solenoidal actions fail
+    (NM)_S = N_S M_S, together with a window witnessing it.  Only
+    endpoint-incompatible pairs are eligible — for compatible morphisms the functor law is a theorem, not a search target.
 
     Returns a witness dict or None when the trial budget is exhausted
     (bound=0 searches nothing).  Deterministic for a fixed seed.
     """
-    if g2 is None:
-        g2 = g
     tower = dyadic_solenoid(1)
     loop_windows = [MccWindow(tower, g.edges, 0, {w})
                     for w in closed_walk_tensors(g, tower, 0)]
@@ -303,7 +290,7 @@ def composition_counterexample_search(g, g2=None, bound=5000, seed=0):
     def check(m_mat, n_mat, window, depth):
         nm = compose(n_mat, m_mat)
         lhs = e_S_project(apply_mcc(nm, window, depth), g)
-        mid = e_S_project(apply_mcc(m_mat, window, depth), g2)
+        mid = e_S_project(apply_mcc(m_mat, window, depth), g)
         rhs = e_S_project(apply_mcc(n_mat, mid, depth), g)
         if lhs != rhs:
             return {
@@ -321,14 +308,14 @@ def composition_counterexample_search(g, g2=None, bound=5000, seed=0):
         return None
 
     # Phase 1: exhaustive single-entry probe pairs M = E(c<-b), N = E(b2<-c).
-    for c in g2.edges.labels:
+    for c in g.edges.labels:
         for b in g.edges.labels:
-            m_compat = _endpoint_compatible(g2, c, g, b)
-            m_mat = _single_entry(g2.edges, g.edges, c, b)
+            m_compat = _endpoint_compatible(g, c, b)
+            m_mat = _edge_matrix(g, [(c, b)])
             for b2 in g.edges.labels:
-                if m_compat and _endpoint_compatible(g, b2, g2, c):
+                if m_compat and _endpoint_compatible(g, b2, c):
                     continue
-                n_mat = _single_entry(g.edges, g2.edges, b2, c)
+                n_mat = _edge_matrix(g, [(b2, c)])
                 for window in loop_windows:
                     if trials >= bound:
                         return None
@@ -340,26 +327,21 @@ def composition_counterexample_search(g, g2=None, bound=5000, seed=0):
 
     # Phase 2: randomized sparse pairs at depths <= 1.
     rng = random.Random(seed)
-    all_m = [(c, b) for c in g2.edges.labels for b in g.edges.labels]
-    all_n = [(b2, c2) for b2 in g.edges.labels for c2 in g2.edges.labels]
+    pairs = [(c, b) for c in g.edges.labels for b in g.edges.labels]
     depth1_windows = [MccWindow(tower, g.edges, 1, {w})
                       for w in closed_walk_tensors(g, tower, 1)]
     while trials < bound:
-        m_ent = rng.sample(all_m, rng.randint(1, min(3, len(all_m))))
-        n_ent = rng.sample(all_n, rng.randint(1, min(3, len(all_n))))
+        m_ent = rng.sample(pairs, rng.randint(1, min(3, len(pairs))))
+        n_ent = rng.sample(pairs, rng.randint(1, min(3, len(pairs))))
         trials += 1  # every sampled attempt consumes budget, checked or not
-        m_ok = all(_endpoint_compatible(g2, c, g, b) for c, b in m_ent)
-        n_ok = all(_endpoint_compatible(g, b2, g2, c2) for b2, c2 in n_ent)
-        if m_ok and n_ok:
+        if all(_endpoint_compatible(g, c, b) for c, b in m_ent + n_ent):
             continue
         depth = rng.choice([0, 1])
         pool = loop_windows if depth == 0 else depth1_windows
         if not pool:
             continue  # no closed walk at this depth; the other may have one
         window = rng.choice(pool)
-        m_mat = F2Matrix.from_entries(g2.edges, g.edges, m_ent)
-        n_mat = F2Matrix.from_entries(g.edges, g2.edges, n_ent)
-        wit = check(m_mat, n_mat, window, depth)
+        wit = check(_edge_matrix(g, m_ent), _edge_matrix(g, n_ent), window, depth)
         if wit is not None:
             wit["trials"] = trials
             return wit

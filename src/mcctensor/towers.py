@@ -213,37 +213,25 @@ class DyadicTower:
         up = self.up_index(m_low, m_high)
         return tuple(word[j] for j in up)
 
+    def compress_word(self, word, m, h):
+        """The level-h word pulling back to this level-m word, or None when
+        the word is not constant on the level-h fibers (does not factor
+        through level h)."""
+        out = [None] * self.size(h)
+        for i, j in enumerate(self.up_index(h, m)):
+            if out[j] is None:
+                out[j] = word[i]
+            elif out[j] != word[i]:
+                return None
+        return tuple(out)
+
     def factor_level(self, word, m):
         """Least h such that the level-m word is constant on level-h fibers."""
         if len(word) != self.size(m):
             raise DepthError(
                 f"word length {len(word)} does not match level {m} size {self.size(m)}")
-        for h in range(m + 1):
-            up = self.up_index(h, m)
-            vals = {}
-            ok = True
-            for i, j in enumerate(up):
-                if j in vals:
-                    if vals[j] != word[i]:
-                        ok = False
-                        break
-                else:
-                    vals[j] = word[i]
-            if ok:
-                return h
-        return m
-
-    def compress_word(self, word, m, h):
-        """The level-h word pulling back to this level-m word (must factor)."""
-        up = self.up_index(h, m)
-        out = [None] * self.size(h)
-        for i, j in enumerate(up):
-            if out[j] is None:
-                out[j] = word[i]
-            elif out[j] != word[i]:
-                raise DepthError(
-                    f"word {''.join(map(str, word))} does not factor through level {h}")
-        return tuple(out)
+        return next(h for h in range(m + 1)
+                    if self.compress_word(word, m, h) is not None)
 
     # -- groups and kernels -----------------------------------------------------
 
@@ -576,28 +564,14 @@ def parse_tower(text, name=None):
             raise ParseError(f"missing proj {m}: block", line=1)
         projs.append(projections[m])
 
-    generators = {}
-    for gname, per in gen_lines.items():
-        seq = []
-        for m in range(n_levels):
-            if m in per:
-                text_m, ln = per[m]
-                seq.append(parse_cycles(text_m, sets[m], lineno=ln))
-            else:
-                seq.append({})
-        generators[gname] = seq
+    def per_level(lines):
+        return [parse_cycles(lines[m][0], sets[m], lineno=lines[m][1])
+                if m in lines else {} for m in range(n_levels)]
+
+    generators = {gname: per_level(per) for gname, per in gen_lines.items()}
     if not generators:
         generators = {"id": [{} for _ in range(n_levels)]}
-
-    shift = None
-    if shift_lines:
-        shift = []
-        for m in range(n_levels):
-            if m in shift_lines:
-                text_m, ln = shift_lines[m]
-                shift.append(parse_cycles(text_m, sets[m], lineno=ln))
-            else:
-                shift.append({})
+    shift = per_level(shift_lines) if shift_lines else None
     return DyadicTower(sets, projs, generators, shift=shift, name=name)
 
 

@@ -11,15 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from mcctensor import mcc as mcc_module
 from mcctensor.errors import (CrossCheckError, DepthError, InvarianceError,
-                              LabelMismatchError,
-                              MccError, ParseError, SizeCapError,
-                              StabilityError, TowerValidationError)
+                              LabelMismatchError, ParseError,
+                              TowerValidationError)
 from mcctensor.f2cat import (F2Matrix, LabeledSet, apply, compose, invert,
                              tensor_power_finite, word_label)
 from mcctensor.mcc import (LazyTower, MccWindow, apply_mcc, cc_probe,
                            dump_window, load_window, odd_spike_series,
-                           parse_window, quotient_class, sector_project,
-                           single_spike_series, staircase_position,
+                           parse_window, single_spike_series, staircase_position,
                            symmetrized_series)
 from mcctensor.towers import dyadic_solenoid
 
@@ -245,11 +243,11 @@ def test_membership_shift_in_level_one_quotient():
 
 
 def test_quotient_class_examples():
+    # the class in the level-h staircase quotient (h >= inv_level) is the
+    # window restricted to depth h
     w7 = odd_window()
-    assert quotient_class(w7, 1) == win(1, "xy")
-    assert quotient_class(w7, 2).support == odd_spike_series(TOWER).table(2)
-    with pytest.raises(MccError):
-        quotient_class(w7, 0)  # below the invariance level
+    assert w7.at_depth(1) == win(1, "xy")
+    assert w7.at_depth(2).support == odd_spike_series(TOWER).table(2)
 
 
 def test_quotient_class_linear():
@@ -262,57 +260,7 @@ def test_quotient_class_linear():
              for _ in range(rng.randint(0, 4))})
         a, b = mk(), mk()
         lvl = max(a.inv_level, b.inv_level, (a + b).inv_level)
-        assert quotient_class(a + b, lvl) == \
-            quotient_class(a, lvl) + quotient_class(b, lvl)
-
-
-PART = {"x": "p", "y": "q"}
-
-
-def test_sector_project_filters_by_letter_image():
-    w = MccWindow(TOWER, XY, 2, set(TOWER.words(2, "xy")))
-    even = sector_project(w, PART, lambda a: a.count("q") % 2 == 0)
-    assert even.support == {ww for ww in w.support
-                            if ww.count("y") % 2 == 0}
-    assert len(even.support) == 8
-
-
-def test_sector_project_idempotent_and_linear():
-    rng = random.Random(37)
-    allowed = lambda a: a.count("q") % 2 == 0
-    for _ in range(20):
-        depth = rng.randint(1, 2)
-        mk = lambda: MccWindow(
-            TOWER, XY, depth,
-            {tuple(rng.choice("xy") for _ in range(TOWER.size(depth)))
-             for _ in range(rng.randint(0, 5))})
-        a, b = mk(), mk()
-        pa = sector_project(a, PART, allowed)
-        assert sector_project(pa, PART, allowed) == pa
-        assert sector_project(a + b, PART, allowed) == \
-            pa + sector_project(b, PART, allowed)
-
-
-def test_sector_project_unstable_predicate_rejected():
-    w = win(1, "xy", "yx")  # invariance level 0
-    with pytest.raises(StabilityError) as e:
-        sector_project(w, PART, lambda a: a[0] == "p")
-    assert e.value.witness == (("p", "q"), ("q", "p"))
-
-
-def test_sector_project_positional_predicate_ok_at_deep_invariance():
-    # the same positional predicate is fine when the kernel is trivial
-    w = win(1, "xy")  # invariance level 1
-    out = sector_project(w, PART, lambda a: a[0] == "p")
-    assert out == w
-
-
-def test_sector_project_errors():
-    w = win(1, "xy")
-    with pytest.raises(LabelMismatchError):
-        sector_project(w, {"x": "p"}, lambda a: True)
-    with pytest.raises(SizeCapError):
-        sector_project(w, PART, lambda a: True, enum_cap=3)
+        assert (a + b).at_depth(lvl) == a.at_depth(lvl) + b.at_depth(lvl)
 
 
 def test_lazy_tower_tables_and_window():

@@ -8,7 +8,7 @@ kept here as the oracle, on shared Hypothesis strategies at small sizes.
     tensor_power_finite, row products loop_tensor_power, every entry   tensor_cases    |X| <= 4
     invariance_level(_table), gens    kernel_invariance_level(_table)  tower_tables    depth <= 3
     cc_sum, generators                kernel_fixed_word_sum            tower_tables    depth <= 3
-    sector_project stability, gens    kernel_unstable                  towers, tables  2^|X| <= 16
+    predicate stability, gens         kernel_unstable                  towers          2^|X| <= 16
     kernel_generators                 closure equals kernel            TOWERS          every (m, h)
     dumps_bimodule, direct writer     json.dumps(indent=2, sort_keys)  renamed_boxes   P^1, P^2, P^4
     DABimodule term validation, tables per_letter_validate             mutated_terms   seed box terms
@@ -31,14 +31,13 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mcctensor.errors import (ChainingError, InvarianceError, LabelMismatchError,
-                              StabilityError)
+from mcctensor.errors import ChainingError, InvarianceError, LabelMismatchError
 from mcctensor.f2cat import (F2Matrix, LabeledSet, apply, invert, rank,
                              tensor_power_finite, word_label)
 from mcctensor.floer import (RHO_LABELS, UNIT, DABimodule, bimodule_to_dict,
                              box_power, cfda_ta, cfda_tb_inv, dumps_bimodule,
                              hochschild_generators, seed_box, torus_algebra)
-from mcctensor.mcc import MccWindow, apply_mcc, sector_project
+from mcctensor.mcc import MccWindow, apply_mcc
 from mcctensor.solenoidal import (GraphBasis, closed_walk_count_trace, fig8,
                                   hh0_quotient_dim, staircase_dims, walks_of_length)
 from mcctensor.towers import (act_word, cc_sum, cycles_of, dyadic_solenoid,
@@ -474,19 +473,17 @@ PREDICATES = (
 @settings(max_examples=150, deadline=None)
 @given(towers, st.data())
 def test_sector_stability_matches_whole_kernel(tower, data):
+    """A predicate on part words is stable under K(depth, h) exactly when
+    the table of words it accepts is invariant at level h, which
+    invariance_level_table decides on the kernel's generators."""
     depth = data.draw(st.sampled_from(
         [d for d in range(tower.max_level + 1) if 2 ** tower.size(d) <= 16]))
-    window = MccWindow(tower, ("x", "y"), depth,
-                       data.draw(tables(tower, depth, ("x", "y"))))
+    h = data.draw(st.integers(0, depth))
     allowed = data.draw(st.sampled_from(PREDICATES))
-    part = {"x": "p", "y": "q"}
-    if kernel_unstable(tower, depth, window.inv_level, ("p", "q"), allowed):
-        with pytest.raises(StabilityError):
-            sector_project(window, part, allowed)
-    else:
-        out = sector_project(window, part, allowed)
-        assert out.support == {w for w in window.support
-                               if allowed(tuple(part[l] for l in w))}
+    accepted = {a for a in itertools.product("pq", repeat=tower.size(depth))
+                if allowed(a)}
+    assert (invariance_level_table(tower, accepted, depth) <= h) == \
+        (not kernel_unstable(tower, depth, h, ("p", "q"), allowed))
 
 
 def generated(tower, m, gens):

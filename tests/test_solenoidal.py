@@ -17,7 +17,7 @@ from mcctensor.solenoidal import (GraphBasis, GraphMorphism,
                                   composition_counterexample_search,
                                   dump_graph, e_S_project, fig8,
                                   hh0_inline_power, hh0_quotient_dim,
-                                  identity_morphism, in_sector, load_graph,
+                                  in_sector, load_graph,
                                   parse_graph, staircase_dims,
                                   transfer_matrix, walks_of_length)
 from mcctensor.towers import dyadic_solenoid
@@ -152,7 +152,7 @@ def test_morphism_validation():
 
 
 def test_identity_and_composition_of_morphisms():
-    ident = identity_morphism(G)
+    ident = GraphMorphism(G, G, [(e, e) for e in G.edges.labels])
     m = swap_xy_morphism()
     assert compose_morphisms(ident, m).entries == m.entries
     assert compose_morphisms(m, m).entries == ident.entries
@@ -165,22 +165,13 @@ def test_apply_solenoidal_swap():
     assert out.support == {("y", "x")}
 
 
-def test_apply_solenoidal_strict_rejects_off_sector():
+def test_apply_solenoidal_projects_off_sector_input_away():
     from mcctensor.solenoidal import apply_solenoidal
     off = MccWindow(TOWER, G.edges, 1, {("v", "v")})
-    with pytest.raises(MccError):
-        apply_solenoidal(swap_xy_morphism(), off, 1, strict=True)
-    # non-strict first projects the stray support away
     assert apply_solenoidal(swap_xy_morphism(), off, 1).is_zero()
-
-
-def test_apply_solenoidal_strict_names_only_off_sector_words():
-    from mcctensor.solenoidal import apply_solenoidal
+    # only the off-sector words go: the loop t survives next to v
     w = MccWindow(TOWER, G.edges, 0, {("t",), ("v",)})
-    with pytest.raises(MccError) as e:
-        apply_solenoidal(swap_xy_morphism(), w, 0, strict=True)
-    assert "(e.g. [('v',)])" in str(e.value)
-    assert "('t',)" not in str(e.value)
+    assert apply_solenoidal(swap_xy_morphism(), w, 0).support == {("t",)}
 
 
 def random_compatible_endomorphism(rng):
