@@ -24,7 +24,6 @@ live here too.
 from __future__ import annotations
 
 import json
-from collections import Counter
 
 from .errors import (CertificateError, ChainingError, CrossCheckError,
                      LabelMismatchError, MccError, SizeCapError,
@@ -284,7 +283,29 @@ def box_generators(m_gens, n_gens):
             if xr == yl]
 
 
+def idempotent_counts(gens):
+    """The 2x2 matrix C counting generators by (left, right) idempotent,
+    rows and columns in the order i0, i1.  box_generators pairs x with y
+    exactly when x's right idempotent is y's left, so C(M box N) = C(M) C(N),
+    and sum(C) is the generator count."""
+    c = [[0, 0], [0, 0]]
+    for (_, l, r) in gens:
+        c[l == "i1"][r == "i1"] += 1
+    return c
+
+
+def _count_product(a, b):
+    return [[a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in (0, 1)] for i in (0, 1)]
+
+
 BOX_GENERATOR_CAP = 1000
+
+
+def _refuse_over_cap(counts):
+    size = sum(map(sum, counts))
+    if size > BOX_GENERATOR_CAP:
+        raise SizeCapError(f"box product would have {size} generators, over the "
+                           f"cap {BOX_GENERATOR_CAP}")
 
 
 def box_tensor(m, n, name=None):
@@ -294,16 +315,13 @@ def box_tensor(m, n, name=None):
     inputs (a_1..a_k) combines with every N-chain spelling that output word;
     the unital element additionally forwards N-terms outputting "1" at a
     frozen M-generator.  Coefficients cancel in pairs over F2.  A product of
-    more than BOX_GENERATOR_CAP generators, counted per middle idempotent
-    before any pair is formed, raises SizeCapError.
+    more than BOX_GENERATOR_CAP generators, counted from C(M) C(N) before
+    any pair is formed, raises SizeCapError.
     """
     if m.algebra is not n.algebra:
         raise LabelMismatchError("box tensor needs one algebra")
-    right_idems = Counter(xr for (_, _, xr) in m.generators)
-    size = sum(right_idems[yl] for (_, yl, _) in n.generators)
-    if size > BOX_GENERATOR_CAP:
-        raise SizeCapError(f"box product would have {size} generators, over the "
-                           f"cap {BOX_GENERATOR_CAP}")
+    _refuse_over_cap(_count_product(idempotent_counts(m.generators),
+                                    idempotent_counts(n.generators)))
     gens = box_generators(m.generators, n.generators)
     terms = []
     gen_names = {g for (g, _, _) in gens}
@@ -329,15 +347,28 @@ def box_tensor(m, n, name=None):
 
 
 def box_power(p, k):
-    """The k-fold box power (k >= 1) by binary doubling."""
+    """The k-fold box power (k >= 1) by binary doubling: square for each
+    binary digit of k after the first, then multiply by p where it is 1.
+    Every product is counted from C first, and the first over
+    BOX_GENERATOR_CAP raises SizeCapError before any product is built."""
     if k < 1:
         raise MccError("box power needs k >= 1")
-    if k == 1:
-        return p
-    half = box_power(p, k // 2)
-    out = box_tensor(half, half, name=f"{p.name or 'P'}^{(k // 2) * 2}")
-    if k % 2:
-        out = box_tensor(out, p, name=f"{p.name or 'P'}^{k}")
+    digits = bin(k)[3:]
+    base = idempotent_counts(p.generators)
+    c = base
+    for digit in digits:
+        c = _count_product(c, c)
+        _refuse_over_cap(c)
+        if digit == "1":
+            c = _count_product(c, base)
+            _refuse_over_cap(c)
+    out, e = p, 1
+    for digit in digits:
+        e *= 2
+        out = box_tensor(out, out, name=f"{p.name or 'P'}^{e}")
+        if digit == "1":
+            e += 1
+            out = box_tensor(out, p, name=f"{p.name or 'P'}^{e}")
     return out
 
 
@@ -518,10 +549,11 @@ def derived_power_certificate(base, doublings, base_cert=None):
     and unit-output terms can never fire from inside E because they consume
     an r2 (P3 + chord-only inputs), which the granted base keeps out of E.
     So E stays a sound bound for every reachable output at every depth.
-    Premises are checked mechanically on the materialized base; if the
-    generator or sub-table size passes DERIVED_WORK_CAP the exact iteration
-    stops and the reported fixpoint falls back to the (still sound) bound E,
-    with fixpoint_is_exact set to False.  `base_cert` is the base's vanishing
+    Premises are checked mechanically on the materialized base.  Before each
+    doubling the next generator count is read off C (C(P box P) = C(P)^2);
+    if it or the current sub-table size passes DERIVED_WORK_CAP the exact
+    iteration stops and the reported fixpoint falls back to the (still
+    sound) bound E, with fixpoint_is_exact set to False.  `base_cert` is the base's vanishing
     certificate when the caller has already computed it.
     """
     if doublings < 0:
@@ -549,11 +581,13 @@ def derived_power_certificate(base, doublings, base_cert=None):
 
     # square the closure-input-only sub-table through the doublings
     gens = list(base.generators)
+    counts = idempotent_counts(gens)
     table = {t for t in base.terms if closure.issuperset(t[1])}
     fix_by_doubling = [sorted(cert["fixpoint"])]
     exact_through = 0
     for step in range(doublings):
-        if len(gens) > DERIVED_WORK_CAP or len(table) > DERIVED_WORK_CAP:
+        counts = _count_product(counts, counts)
+        if sum(map(sum, counts)) > DERIVED_WORK_CAP or len(table) > DERIVED_WORK_CAP:
             break
         by_src = {}
         for t in table:

@@ -18,7 +18,7 @@ from mcctensor.floer import (DABimodule, TorusAlgebra, bimodule_from_dict,
                              box_tensor, cfda_ta, cfda_tb_inv, derived_power_certificate,
                              dumps_bimodule, golden_box_text,
                              hfk_dimensions, hochschild_generators,
-                             load_bimodule, resolve_bimodule,
+                             idempotent_counts, load_bimodule, resolve_bimodule,
                              seed_box, torus_algebra, vanishing_certificate)
 from mcctensor.solenoidal import fig8
 
@@ -185,8 +185,30 @@ def test_box_tensor_refuses_products_over_the_generator_cap():
     p4 = box_power(seed_box(), 4)
     with pytest.raises(SizeCapError, match="4181 generators, over the cap 1000"):
         box_tensor(p4, p4)
-    # the count is taken per middle idempotent, before any pair is formed
+    # the count is read off C(P^4)^2, before any pair is formed
     assert len(box_generators(p4.generators, p4.generators)) == 4181
+
+
+def test_idempotent_counts_multiply_under_box_products():
+    p = seed_box()
+    assert idempotent_counts(p.generators) == [[1, 1], [1, 2]]
+    c2 = [[2, 3], [3, 5]]
+    assert idempotent_counts(box_power(p, 2).generators) == c2
+    assert idempotent_counts(box_tensor(box_power(p, 2), p).generators) == [[5, 8], [8, 13]]
+    assert idempotent_counts(box_power(p, 4).generators) == [[13, 21], [21, 34]]
+
+
+def test_box_power_refuses_an_over_cap_power_before_building(monkeypatch):
+    def no_build(m, n, name=None):
+        raise AssertionError("box_tensor called")
+
+    p = seed_box()
+    monkeypatch.setattr(floer_module, "box_tensor", no_build)
+    for k, size in ((7, 1597), (8, 4181), (16, 4181)):
+        with pytest.raises(SizeCapError) as e:
+            box_power(p, k)
+        assert str(e.value) == \
+            f"box product would have {size} generators, over the cap 1000"
 
 
 def test_hochschild_generators():
@@ -276,12 +298,33 @@ def test_derived_certificate_eight_fold_routes_agree():
 
 
 def test_derived_certificate_work_cap_degrades_to_bound(monkeypatch):
+    base = seed_box()
+    built = []
+    real_box_generators = floer_module.box_generators
+
+    def recording_box_generators(m_gens, n_gens):
+        built.append(real_box_generators(m_gens, n_gens))
+        return built[-1]
+
+    monkeypatch.setattr(floer_module, "box_generators", recording_box_generators)
     monkeypatch.setattr(floer_module, "DERIVED_WORK_CAP", 20)
-    cert = derived_power_certificate(seed_box(), 4)
+    cert = derived_power_certificate(base, 4)
     assert cert["granted"] is True
     assert cert["fixpoint_is_exact"] is False
     # the fallback is the proven upper bound, the base's extended closure
     assert cert["fixpoint"] == cert["extended_fixpoint"]
+    # 5 -> 13 generators fits; the 89 the next doubling needs is never built
+    assert [len(g) for g in built] == [13]
+    assert len(cert["fixpoint_by_doubling"]) == 2
+
+
+def test_derived_certificate_stops_before_the_sixteen_fold_power():
+    # P^4 -> P^8 (4,181 generators) is squared exactly; P^16 would need
+    # 9,227,465, over DERIVED_WORK_CAP, so the bound is reported
+    cert = derived_power_certificate(box_power(seed_box(), 4), 2)
+    assert cert["granted"] is True
+    assert cert["fixpoint_is_exact"] is False
+    assert cert["fixpoint_by_doubling"][1] == ["r1", "r123", "r23", "r3"]
 
 
 def test_derived_certificate_refuses_bad_base():
