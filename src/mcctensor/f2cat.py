@@ -53,12 +53,26 @@ def word_label(word):
     """Canonical string label for a tuple of labels (a function's value word).
 
     Single-character alphabets concatenate ("x","y") -> "xy"; otherwise the
-    letters are comma-joined so the label stays unambiguous.
+    letters are comma-joined.  On the words of one length over a basis that
+    require_word_labels accepts, distinct words get distinct labels.
     """
     word = tuple(word)
     if all(len(l) == 1 for l in word):
         return "".join(word)
     return ",".join(word)
+
+
+def require_word_labels(labels, what):
+    """Refuse a basis whose words word_label could not tell apart: one with
+    an empty label, or with a ',' in a label when some label is longer than
+    one character (such words are comma-joined)."""
+    multi = any(len(l) > 1 for l in labels)
+    for label in labels:
+        if not label or (multi and "," in label):
+            raise LabelMismatchError(
+                f"{what} label {label!r} cannot be told apart in a word label: "
+                f"labels must be non-empty, and ',' separates the letters of a "
+                f"word over a multi-character basis")
 
 
 class F2Matrix:
@@ -230,7 +244,8 @@ def tensor_power_finite(m, x):
     rowsupp(g(x)) = {b : M(g(x), b) = 1}, packed by `product_indices`.
     Cost: O(|C|^|X| * |X|) plus the number of nonzero entries, not
     |C|^|X| * |B|^|X| * |X|.  Over DEFAULT_ENTRY_CAP entries it raises
-    SizeCapError.
+    SizeCapError; row and column labels word_label cannot tell apart raise
+    LabelMismatchError.
     """
     if not isinstance(x, LabeledSet):
         x = LabeledSet(x)
@@ -240,6 +255,8 @@ def tensor_power_finite(m, x):
     if n_rows * n_cols > DEFAULT_ENTRY_CAP:
         raise SizeCapError(f"tensor power would have {n_rows}x{n_cols} entries, "
                            f"over the cap {DEFAULT_ENTRY_CAP}")
+    require_word_labels(m.rows.labels, "row")
+    require_word_labels(m.cols.labels, "column")
     n_b = len(m.cols)
     rowsupp = [[j for j in range(n_b) if (b >> j) & 1] for b in m.bits]
     row_words = list(itertools.product(range(len(m.rows)), repeat=n))

@@ -23,7 +23,8 @@ import math
 from . import towers as _tw
 from .errors import (CrossCheckError, DepthError, LabelMismatchError,
                      ParseError, TowerValidationError)
-from .f2cat import LabeledSet, lex_lines, product_indices, require_token_labels
+from .f2cat import (LabeledSet, lex_lines, product_indices, require_token_labels,
+                    require_word_labels)
 
 
 class MccWindow:
@@ -399,13 +400,8 @@ _WINDOW_HEADERS = ("tower:", "basis:", "depth:")
 def dump_window(window, tower_ref=None):
     labels = window.basis.labels
     require_token_labels(labels, "basis")
+    require_word_labels(labels, "basis")
     single = all(len(b) == 1 for b in labels)
-    if not single:
-        for b in labels:
-            if "," in b:
-                raise LabelMismatchError(
-                    f"basis label {b!r} cannot be written in the text format: "
-                    f"',' separates the letters of a word over a multi-character basis")
     lines = []
     if tower_ref is None:
         name = window.tower.name or ""

@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mcctensor.errors import LabelMismatchError, ParseError, SizeCapError
 from mcctensor.f2cat import (
@@ -19,6 +19,7 @@ from mcctensor.f2cat import (
     invert,
     parse_matrix,
     rank,
+    require_word_labels,
     tensor_power_finite,
     word_label,
     zero,
@@ -40,6 +41,36 @@ def test_word_label_single_characters_concatenate():
     assert word_label(("x", "y", "x")) == "xyx"
     assert word_label(("e1", "e2")) == "e1,e2"
     assert word_label(()) == ""
+
+
+def accepted(basis):
+    try:
+        require_word_labels(basis, "basis")
+    except LabelMismatchError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.text(alphabet="ab,", max_size=3), st.text(max_size=2)),
+                min_size=1, max_size=4, unique=True),
+       st.integers(0, 3))
+def test_word_label_is_injective_on_accepted_bases(basis, n):
+    assume(accepted(basis))
+    words = list(itertools.product(basis, repeat=n))
+    assert len({word_label(w) for w in words}) == len(words)
+
+
+def test_tensor_power_refuses_labels_word_label_cannot_tell_apart():
+    # ("a,b", "c") and ("a", "b,c") would both be labeled "a,b,c"
+    m = mat(["a,b", "c", "a", "b,c"], "x", [[1], [0], [1], [0]])
+    with pytest.raises(LabelMismatchError, match="row label 'a,b'"):
+        tensor_power_finite(m, ["p", "q"])
+    with pytest.raises(LabelMismatchError, match="column label ''"):
+        tensor_power_finite(mat("x", ["", "y"], [[1, 0]]), ["p"])
+    # in a basis of single characters a ',' is a letter like any other
+    m = mat([",", "a"], "x", [[1], [1]])
+    assert tensor_power_finite(m, ["p", "q"]).rows.labels == (",,", ",a", "a,", "aa")
 
 
 def test_entry_and_to_lists():
