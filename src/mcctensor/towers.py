@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import (DepthError, InvarianceError, MissingShiftError,
-                     ParseError, TowerValidationError)
-from .f2cat import LabeledSet, lex_lines
+from .errors import (DepthError, InvarianceError, LabelMismatchError,
+                     MissingShiftError, ParseError, TowerValidationError)
+from .f2cat import LabeledSet, lex_lines, require_token_labels
 
 GROUP_SIZE_CAP = 1 << 13
 
@@ -576,6 +576,23 @@ def parse_tower(text, name=None):
 
 
 def dump_tower(tower):
+    """The tower text of `tower`; a label the text cannot carry raises
+    LabelMismatchError naming it."""
+    for m, level in enumerate(tower.levels):
+        require_token_labels(level.labels, f"level-{m}")
+        for label in level.labels:
+            # a projection line starts with its child label; cycles split
+            # at ')('
+            if ("->" in label or ")(" in label or label.startswith("levels:")
+                    or label in ("level", "proj", "gen", "shift")):
+                raise LabelMismatchError(
+                    f"level-{m} label {label!r} cannot be written in the tower "
+                    f"text format: it would read as a header or a separator")
+    require_token_labels(tower.gen_names, "generator")
+    bad = [g for g in tower.gen_names if ":" in g]
+    if bad:
+        raise LabelMismatchError(f"generator name {bad[0]!r} cannot be written in "
+                                 f"the tower text format: ':' ends a gen header")
     lines = [f"levels: {tower.max_level + 1}"]
     for m in range(tower.max_level + 1):
         lines.append(f"level {m}: " + " ".join(tower.levels[m].labels))

@@ -3,9 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mcctensor.errors import (DepthError, InvarianceError, MissingShiftError,
-                              ParseError, TowerValidationError)
+from mcctensor.errors import (DepthError, InvarianceError, LabelMismatchError,
+                              MissingShiftError, ParseError, TowerValidationError)
 from mcctensor.towers import (DyadicTower, act_word, cc_sum, dump_tower,
                               dyadic_solenoid, invariance_level,
                               invariance_level_table, parse_tower,
@@ -183,16 +184,72 @@ def test_validation_rejects_odd_group():
         DyadicTower([["0", "1", "2"]], [], {"r": [{"0": "1", "1": "2", "2": "0"}]})
 
 
+def relabelled(tower, names):
+    """The same tower with the points of level m renamed to names[m]."""
+    levels = range(tower.max_level + 1)
+
+    def perm(p, m):
+        return {names[m][i]: names[m][j] for i, j in enumerate(p)}
+
+    return DyadicTower(
+        names,
+        [{names[m + 1][i]: names[m][j] for i, j in enumerate(c2p)}
+         for m, c2p in enumerate(tower.child_to_parent)],
+        {g: [perm(tower.gens[g][m], m) for m in levels] for g in tower.gen_names},
+        shift=[perm(tower.shift[m], m) for m in levels])
+
+
+# plain tokens, and the labels the text would misread: headers, separators,
+# whitespace and comments
+POINT_LABELS = st.one_of(
+    st.text(alphabet="ab01", min_size=1, max_size=3),
+    st.sampled_from(["gen", "level", "proj", "shift", "levels:x", "a->b", "a)(b",
+                     "x y", "#", "a:b", "(a", "b)", "()"]),
+    st.text(max_size=2))
+
+
+def writable(label):
+    return (label.split() == [label] and "#" not in label and "->" not in label
+            and ")(" not in label and not label.startswith("levels:")
+            and label not in ("level", "proj", "gen", "shift"))
+
+
+@st.composite
+def towers_to_write(draw):
+    tower = dyadic_solenoid(draw(st.integers(0, 3)), copies=draw(st.integers(1, 3)))
+    if draw(st.booleans()):
+        tower = relabelled(tower, [
+            draw(st.lists(POINT_LABELS, min_size=len(level), max_size=len(level),
+                          unique=True)) for level in tower.levels])
+    return tower
+
+
+@settings(max_examples=150, deadline=None)
+@given(towers_to_write())
 def test_tower_text_roundtrip(tower):
-    text = dump_tower(tower)
-    back = parse_tower(text, name="dyadic")
-    assert [list(l.labels) for l in back.levels] == \
-        [list(l.labels) for l in tower.levels]
+    labels = [l for level in tower.levels for l in level.labels]
+    try:
+        text = dump_tower(tower)
+    except LabelMismatchError:
+        assert not all(map(writable, labels))
+        return
+    assert all(map(writable, labels))
+    back = parse_tower(text)
+    assert [l.labels for l in back.levels] == [l.labels for l in tower.levels]
     assert back.child_to_parent == tower.child_to_parent
     assert back.gen_names == tower.gen_names
-    for g in tower.gen_names:
-        assert back.gens[g] == tower.gens[g]
+    assert back.gens == tower.gens
     assert back.shift == tower.shift
+    assert dump_tower(back) == text
+
+
+def test_tower_dump_refuses_unwritable_names():
+    t = dyadic_solenoid(1)
+    with pytest.raises(LabelMismatchError, match="level-1 label 'gen'"):
+        dump_tower(relabelled(t, [["r"], ["gen", "b"]]))
+    odd = DyadicTower([["r"]], [], {"s:1": [{}]})
+    with pytest.raises(LabelMismatchError, match="generator name 's:1'"):
+        dump_tower(odd)
 
 
 def test_tower_parse_errors():
