@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mcctensor.errors import LabelMismatchError, ParseError, SizeCapError
 from mcctensor.f2cat import (
@@ -51,14 +51,19 @@ def accepted(basis):
     return True
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.one_of(st.text(alphabet="ab,", max_size=3), st.text(max_size=2)),
-                min_size=1, max_size=4, unique=True),
-       st.integers(0, 3))
+# bases of single characters, bases of longer labels, and mixtures, over an
+# alphabet holding ','
+BASES = st.one_of(
+    st.lists(st.sampled_from("ab,"), min_size=1, unique=True),
+    st.lists(st.text(alphabet="a,", max_size=3), min_size=1, max_size=4, unique=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(BASES, st.integers(0, 3))
 def test_word_label_is_injective_on_accepted_bases(basis, n):
-    assume(accepted(basis))
-    words = list(itertools.product(basis, repeat=n))
-    assert len({word_label(w) for w in words}) == len(words)
+    if accepted(basis):
+        words = list(itertools.product(basis, repeat=n))
+        assert len({word_label(w) for w in words}) == len(words)
 
 
 def test_tensor_power_refuses_labels_word_label_cannot_tell_apart():
