@@ -553,8 +553,9 @@ def derived_power_certificate(base, doublings, base_cert=None):
     doubling the next generator count is read off C (C(P box P) = C(P)^2);
     if it or the current sub-table size passes DERIVED_WORK_CAP the exact
     iteration stops and the reported fixpoint falls back to the (still
-    sound) bound E, with fixpoint_is_exact set to False.  `base_cert` is the base's vanishing
-    certificate when the caller has already computed it.
+    sound) bound E, with fixpoint_is_exact set to False.  `base_cert` is
+    the base's vanishing certificate when the caller has already computed
+    it.
     """
     if doublings < 0:
         raise MccError("doublings must be >= 0")

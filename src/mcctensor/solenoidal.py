@@ -277,7 +277,8 @@ def _endpoint_compatible(g, c, b):
 def composition_counterexample_search(g, bound=5000, seed=0):
     """Search for edge matrices M and N of g whose solenoidal actions fail
     (NM)_S = N_S M_S, together with a window witnessing it.  Only
-    endpoint-incompatible pairs are eligible — for compatible morphisms the functor law is a theorem, not a search target.
+    endpoint-incompatible pairs are eligible — for compatible morphisms the
+    functor law is a theorem, not a search target.
 
     Returns a witness dict or None when the trial budget is exhausted
     (bound=0 searches nothing).  Deterministic for a fixed seed.
