@@ -219,25 +219,29 @@ class DABimodule:
         for (x, inputs, output, y) in self.sorted_terms:
             if not inputs:
                 adj.setdefault(x, []).append(y)
+        # depth-first, with the path and its pending successors on explicit
+        # stacks so that long zero-input chains need no recursion
         state = {}
-
-        def visit(node, stack):
-            state[node] = 1
-            stack.append(node)
-            for nxt in adj.get(node, []):
-                if state.get(nxt) == 1:
-                    cycle = stack[stack.index(nxt):] + [nxt]
-                    raise ZeroInputCycleError(
-                        f"zero-input terms form a cycle: {' -> '.join(cycle)}",
-                        cycle=cycle)
-                if state.get(nxt) is None:
-                    visit(nxt, stack)
-            stack.pop()
-            state[node] = 2
-
-        for node in sorted(adj):
-            if state.get(node) is None:
-                visit(node, [])
+        for root in sorted(adj):
+            if root in state:
+                continue
+            state[root] = 1
+            path, pending = [root], [iter(adj[root])]
+            while pending:
+                for nxt in pending[-1]:
+                    if state.get(nxt) == 1:
+                        cycle = path[path.index(nxt):] + [nxt]
+                        raise ZeroInputCycleError(
+                            f"zero-input terms form a cycle: {' -> '.join(cycle)}",
+                            cycle=cycle)
+                    if nxt not in state:
+                        state[nxt] = 1
+                        path.append(nxt)
+                        pending.append(iter(adj.get(nxt, ())))
+                        break
+                else:
+                    state[path.pop()] = 2
+                    pending.pop()
 
     # -- operations -------------------------------------------------------------
 
@@ -637,49 +641,38 @@ def derived_power_certificate(base, doublings, base_cert=None):
     }
 
 
-DIRECT_POWER_CAP = 4
-
-
 def hfk_dimensions(max_level, seed=None, cross_check=True):
-    """Dimension rows for the 2^m-fold box powers, m = 0..max_level.
+    """Dimension rows for the 2^m-fold box powers, m = 0..max_level, with no
+    power assembled.
 
-    Each row needs the vanishing certificate of that power (refusal raises
-    CertificateError naming the failed property and offending term); the
-    middle count is the number of diagonal generators, and the closed form
-    adds one dimension on each side.  Powers up to DIRECT_POWER_CAP are
-    assembled in full by squaring and certified by the direct fixpoint
-    procedure; deeper doublings keep only the generator pairing (the 8-fold
-    term table runs to millions of long-word terms) and are certified by the
-    structural induction on the deepest assembled power, whose certificate
-    is computed once and handed to that induction.  With cross_check=True
-    every total is compared against the level-m solenoidal staircase
-    dimension, an independent computation path.
+    The seed's vanishing certificate is computed directly (refusal raises
+    CertificateError naming the failed property and offending term) and
+    handed to one structural induction, derived_power_certificate, which
+    certifies every deeper power.  The middle count is the number of
+    diagonal generators, trace(C^(2^m)) for the seed's idempotent-count
+    matrix C, and the closed form adds one dimension on each side.  With
+    cross_check=True every total is compared against the level-m solenoidal
+    staircase dimension, an independent computation path.
     """
-    power = seed if seed is not None else seed_box()
+    base = seed if seed is not None else seed_box()
+    cert = vanishing_certificate(base)
+    if not cert["granted"]:
+        bad = next((c for c in cert["checks"] if not c["ok"]), None)
+        detail = (f"{bad['name']} fails on {bad['witness']}" if bad else
+                  f"fixpoint {cert['fixpoint']} meets forbidden labels")
+        raise CertificateError(
+            f"vanishing certificate refused for the 1-fold power: {detail}",
+            report=cert)
+    derived_power_certificate(base, max_level, base_cert=cert)
+    counts = idempotent_counts(base.generators)
     rows = []
     for m in range(max_level + 1):
-        direct = 2 ** m <= DIRECT_POWER_CAP
-        if direct:
-            if m:
-                power = box_tensor(power, power, name=f"box^{2 ** m}")
-            gens = power.generators
-            top = m
-            cert = vanishing_certificate(power)
-            if not cert["granted"]:
-                bad = next((c for c in cert["checks"] if not c["ok"]), None)
-                detail = (f"{bad['name']} fails on {bad['witness']}" if bad else
-                          f"fixpoint {cert['fixpoint']} meets forbidden labels")
-                raise CertificateError(
-                    f"vanishing certificate refused for the {2 ** m}-fold power: "
-                    f"{detail}",
-                    report=cert)
-        else:
-            gens = box_generators(gens, gens)
-            derived_power_certificate(power, m - top, base_cert=cert)
-        middle = sum(1 for (_, l, r) in gens if l == r)
+        if m:
+            counts = _count_product(counts, counts)
+        middle = counts[0][0] + counts[1][1]
         rows.append({"level": m, "power": 2 ** m, "lower": 1, "middle": middle,
                      "upper": 1, "total": middle + 2,
-                     "certificate": "direct" if direct else "derived"})
+                     "certificate": "derived" if m else "direct"})
     if cross_check:
         from .solenoidal import fig8, staircase_dims
         from .towers import dyadic_solenoid

@@ -191,6 +191,23 @@ def test_hh_left_factor(capsys):
     assert rep["result"]["certificate"]["granted"] is True
 
 
+def test_hh_accepts_a_long_zero_input_chain(capsys, tmp_path):
+    # g0 -> g1 -> ... -> g1499 by zero-input r12 terms: the cycle search
+    # walks the whole chain without recursion
+    n = 1500
+    doc = {"algebra": "torus",
+           "generators": [{"name": f"g{i}", "left": "i0", "right": "i0"}
+                          for i in range(n)],
+           "terms": [{"x": f"g{i}", "inputs": [], "output": "r12", "y": f"g{i + 1}"}
+                     for i in range(n - 1)]}
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps(doc))
+    code, rep = run_json(capsys, "hh", str(chain))
+    assert code == 0 and rep["ok"] is True
+    assert rep["result"]["count"] == n
+    assert rep["result"]["certificate"]["fixpoint"] == ["r12"]
+
+
 def write_swap_fixtures(tmp_path):
     mat = tmp_path / "swap.mat"
     mat.write_text("rows: x y\ncols: x y\n0 1\n1 0\n")

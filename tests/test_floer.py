@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -119,6 +120,16 @@ def test_bimodule_zero_input_cycle_rejected():
     with pytest.raises(ZeroInputCycleError) as e:
         make(gens, [("a", (), "r12", "b"), ("b", (), "r12", "a")])
     assert e.value.cycle == ["a", "b", "a"]
+
+
+def test_bimodule_long_zero_input_cycle_rejected():
+    n = 1500
+    gens = [(f"g{i}", "i0", "i0") for i in range(n)]
+    terms = [(f"g{i}", (), "r12", f"g{(i + 1) % n}") for i in range(n)]
+    with pytest.raises(ZeroInputCycleError) as e:
+        make(gens, terms)
+    # the search starts at the least name, g0, and follows the chain round
+    assert e.value.cycle == [f"g{i}" for i in range(n)] + ["g0"]
 
 
 def test_seed_bimodule_shapes():
@@ -338,8 +349,44 @@ def test_hfk_dimension_rows():
     assert [(r["lower"], r["middle"], r["upper"], r["total"]) for r in rows] == \
         [(1, 3, 1, 5), (1, 7, 1, 9), (1, 47, 1, 49), (1, 2207, 1, 2209)]
     assert [r["certificate"] for r in rows] == \
-        ["direct", "direct", "direct", "derived"]
+        ["direct", "derived", "derived", "derived"]
     assert [r["power"] for r in rows] == [1, 2, 4, 8]
+
+
+def lucas(n):
+    a, b = 2, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+def test_hfk_dimensions_to_level_ten_follow_the_lucas_numbers():
+    # P^k has the Lucas number L(2k) diagonal generators, so the total at
+    # level m is L(2^(m+1)) + 2; cross_check bridges every row to the
+    # staircase dimension
+    start = time.perf_counter()
+    rows = hfk_dimensions(10)
+    assert time.perf_counter() - start < 1.0
+    assert [r["total"] for r in rows] == [lucas(2 ** (m + 1)) + 2 for m in range(11)]
+    assert rows[4]["total"] == 4870849
+
+
+def test_hfk_dimensions_assemble_no_power(monkeypatch):
+    seed = seed_box()
+    calls = []
+    real = floer_module.vanishing_certificate
+
+    def no_build(m, n, name=None):
+        raise AssertionError("box_tensor called")
+
+    monkeypatch.setattr(floer_module, "box_tensor", no_build)
+    monkeypatch.setattr(floer_module, "vanishing_certificate",
+                        lambda p: calls.append(p) or real(p))
+    start = time.perf_counter()
+    rows = hfk_dimensions(4, seed=seed, cross_check=False)
+    assert time.perf_counter() - start < 1.0
+    assert calls == [seed]
+    assert rows[-1]["middle"] == 4870847
 
 
 def test_hfk_dimensions_refuse_mutated_seed():
@@ -409,7 +456,7 @@ def test_hfk_dimensions_certify_each_power_once(monkeypatch):
     monkeypatch.setattr(floer_module, "vanishing_certificate",
                         lambda p: calls.append(len(p.terms)) or real(p))
     hfk_dimensions(3, cross_check=False)
-    assert calls == [21, 105, 4095]
+    assert calls == [21]
 
 
 def test_hfk_dimensions_derive_deeper_powers_from_the_deepest_assembled(monkeypatch):
@@ -419,7 +466,8 @@ def test_hfk_dimensions_derive_deeper_powers_from_the_deepest_assembled(monkeypa
                         lambda base, doublings, **kw: calls.append(
                             (len(base.generators), doublings)) or real(base, doublings, **kw))
     hfk_dimensions(3, cross_check=False)
-    assert calls == [(89, 1)]
+    # the seed is the only power at hand: one induction covers every level
+    assert calls == [(5, 3)]
 
 
 # -- cross-checks raise CrossCheckError, also under python -O -------------------------

@@ -18,6 +18,7 @@ kept here as the oracle, on shared Hypothesis strategies at small sizes.
     closed_walk_count_trace           walks_of_length                  graphs          length 6
     apply_mcc                         tensor_power_finite, apply       pullback_cases  C^X_out <= 64
     box-power diagonals + 2           staircase_dims on fig8           seed box        P^1, P^2, P^4
+    hfk_dimensions, counts from C     assembled_dimension_totals       seed box        P^1 .. P^8
 
 The towers are the plain solenoid, two parallel solenoids and a parsed
 tower whose level-2 group is dihedral of order 8, so that its kernels are
@@ -35,8 +36,10 @@ from mcctensor.errors import ChainingError, InvarianceError, LabelMismatchError
 from mcctensor.f2cat import (F2Matrix, LabeledSet, apply, invert, rank,
                              tensor_power_finite, word_label)
 from mcctensor.floer import (RHO_LABELS, UNIT, DABimodule, bimodule_to_dict,
-                             box_power, cfda_ta, cfda_tb_inv, dumps_bimodule,
-                             hochschild_generators, seed_box, torus_algebra)
+                             box_generators, box_power, box_tensor, cfda_ta,
+                             cfda_tb_inv, dumps_bimodule, hfk_dimensions,
+                             hochschild_generators, seed_box, torus_algebra,
+                             vanishing_certificate)
 from mcctensor.mcc import MccWindow, apply_mcc
 from mcctensor.solenoidal import (GraphBasis, closed_walk_count_trace, fig8,
                                   hh0_quotient_dim, staircase_dims, walks_of_length)
@@ -270,6 +273,25 @@ def listed_walks(g, n):
     cyclically."""
     return {w for w in itertools.product(g.edges.labels, repeat=n)
             if all(g.t[w[i]] == g.s[w[(i + 1) % n]] for i in range(n))}
+
+
+def assembled_dimension_totals(max_level):
+    """Dimension totals by assembly: each power up to P^4 is built by
+    squaring, certified directly and its diagonal generators listed; past
+    P^4 the generator pairs are listed and the diagonal ones counted."""
+    power, gens, totals = SEED_BOX, None, []
+    for m in range(max_level + 1):
+        if 2 ** m <= 4:
+            if m:
+                power = box_tensor(power, power)
+            assert vanishing_certificate(power)["granted"]
+            gens = power.generators
+            middle = len(hochschild_generators(power))
+        else:
+            gens = box_generators(gens, gens)
+            middle = sum(1 for (_, l, r) in gens if l == r)
+        totals.append(middle + 2)
+    return totals
 
 
 # -- shared strategies ---------------------------------------------------------------
@@ -590,3 +612,11 @@ def test_apply_mcc_matches_finite_tensor_power(case):
 def test_box_power_diagonals_match_staircase_dims():
     diagonals = [len(hochschild_generators(box_power(SEED_BOX, 2 ** m))) for m in range(3)]
     assert [d + 2 for d in diagonals] == staircase_dims(fig8(), dyadic_solenoid(2), 2)
+
+
+def test_hfk_dimensions_match_assembled_powers():
+    totals = assembled_dimension_totals(3)
+    assert totals == [5, 9, 49, 2209]
+    for max_level in range(4):
+        assert [r["total"] for r in hfk_dimensions(max_level)] == \
+            totals[:max_level + 1]
