@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 _LAYERS = {
     "errors": (
         "MccError", "LabelMismatchError", "SizeCapError", "TowerValidationError",
-        "InvarianceError", "StabilityError", "DepthError", "CompatibilityError",
+        "InvarianceError", "DepthError", "CompatibilityError",
         "ChainingError", "ZeroInputCycleError", "CertificateError",
         "CrossCheckError", "ParseError",
     ),

@@ -39,15 +39,6 @@ class InvarianceError(MccError):
         self.pair = pair
 
 
-class StabilityError(MccError):
-    """A sector predicate is not stable under the tower action; `witness`
-    is an orbit pair on which the predicate disagrees."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
 class DepthError(MccError):
     """A requested depth/level is out of range for the tower or window."""
 

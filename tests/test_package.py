@@ -12,7 +12,7 @@ import mcctensor
 
 EXPORTS = {
     "MccError", "LabelMismatchError", "SizeCapError", "TowerValidationError",
-    "InvarianceError", "StabilityError", "DepthError", "CompatibilityError",
+    "InvarianceError", "DepthError", "CompatibilityError",
     "ChainingError", "ZeroInputCycleError", "CertificateError", "CrossCheckError",
     "ParseError",
     "F2Matrix", "LabeledSet", "compose", "tensor_power_finite",
@@ -29,7 +29,7 @@ EXPORTS = {
 
 
 def test_all_is_the_imported_names():
-    assert len(mcctensor.__all__) == len(EXPORTS) == 44
+    assert len(mcctensor.__all__) == len(EXPORTS) == 43
     assert set(mcctensor.__all__) == EXPORTS
     assert not any(isinstance(getattr(mcctensor, n), types.ModuleType)
                    for n in mcctensor.__all__)
