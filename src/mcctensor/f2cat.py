@@ -313,6 +313,15 @@ def lex_lines(text):
             yield lineno, line
 
 
+def int_field(text, lineno, message):
+    """The integer written in `text`, a field of line `lineno` of a text
+    format; anything else raises ParseError 'line {lineno}: {message}'."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"line {lineno}: {message}", line=lineno) from None
+
+
 def require_token_labels(labels, what):
     """Refuse a label that a line-based text format cannot write as one
     token: an empty label, one holding whitespace (which splits tokens and

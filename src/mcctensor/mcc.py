@@ -23,8 +23,8 @@ import math
 from . import towers as _tw
 from .errors import (CrossCheckError, DepthError, LabelMismatchError,
                      ParseError, TowerValidationError)
-from .f2cat import (LabeledSet, lex_lines, product_indices, require_token_labels,
-                    require_word_labels)
+from .f2cat import (LabeledSet, int_field, lex_lines, product_indices,
+                    require_token_labels, require_word_labels)
 
 
 class MccWindow:
@@ -275,57 +275,38 @@ def _require_plain_solenoid(tower):
                 "series builders need the plain dyadic solenoid tower")
 
 
+def _spike_series(tower, x, y, residues, name):
+    """The series whose level-m table holds, for each k <= m and each r in
+    residues(2^k), the word of length 2^m with y exactly at the positions
+    i = r mod 2^k and x elsewhere."""
+    _require_plain_solenoid(tower)
+
+    def gen(m):
+        return {tuple(y if i % p == r else x for i in range(2 ** m))
+                for p in (2 ** k for k in range(m + 1)) for r in residues(p)}
+
+    return LazyTower(tower, [x, y], gen, name=name)
+
+
 def single_spike_series(tower, x="x", y="y"):
     """Sum over n >= 0 of the pure tensor with one y per 2^n-block, at the
     block ends: x^(2^n - 1) y.  Its truncations gain one fresh scale per
     level, so the invariance level climbs with the probe: never cc."""
-    _require_plain_solenoid(tower)
-
-    def gen(m):
-        n = 2 ** m
-        out = set()
-        for k in range(m + 1):
-            p = 2 ** k
-            out.add(tuple(y if i % p == p - 1 else x for i in range(n)))
-        return out
-
-    return LazyTower(tower, [x, y], gen, name="single-spike")
+    return _spike_series(tower, x, y, lambda p: (p - 1,), "single-spike")
 
 
 def symmetrized_series(tower, x="x", y="y"):
     """The full rotation symmetrization of the single-spike series: every
     rotation of x^(2^n - 1) y for every n.  Fully action-invariant at each
     level, so cc at level 0."""
-    _require_plain_solenoid(tower)
-
-    def gen(m):
-        n = 2 ** m
-        out = set()
-        for k in range(m + 1):
-            p = 2 ** k
-            for r in range(p):
-                out.add(tuple(y if i % p == r else x for i in range(n)))
-        return out
-
-    return LazyTower(tower, [x, y], gen, name="symmetrized")
+    return _spike_series(tower, x, y, range, "symmetrized")
 
 
 def odd_spike_series(tower, x="x", y="y"):
     """Half the symmetrization: for n >= 1, only the rotations putting the y
     in an odd position.  Stable under rotation by 2 but not by 1, so cc at
     level 1 exactly."""
-    _require_plain_solenoid(tower)
-
-    def gen(m):
-        n = 2 ** m
-        out = set()
-        for k in range(1, m + 1):
-            p = 2 ** k
-            for r in range(1, p, 2):
-                out.add(tuple(y if i % p == r else x for i in range(n)))
-        return out
-
-    return LazyTower(tower, [x, y], gen, name="odd-spike")
+    return _spike_series(tower, x, y, lambda p: range(1, p, 2), "odd-spike")
 
 
 # -- window text format -----------------------------------------------------------
@@ -353,10 +334,7 @@ def parse_window(text, tower=None, tower_loader=None):
             basis = line[len("basis:"):].split()
             continue
         if line.startswith("depth:"):
-            try:
-                depth = int(line[len("depth:"):].strip())
-            except ValueError:
-                raise ParseError(f"line {lineno}: depth: needs an integer", line=lineno)
+            depth = int_field(line[len("depth:"):], lineno, "depth: needs an integer")
             continue
         parts = line.split()
         if len(parts) != 2:

@@ -27,7 +27,7 @@ import itertools
 
 from .errors import (DepthError, InvarianceError, LabelMismatchError,
                      MissingShiftError, ParseError, TowerValidationError)
-from .f2cat import LabeledSet, lex_lines, require_token_labels
+from .f2cat import LabeledSet, int_field, lex_lines, require_token_labels
 
 GROUP_SIZE_CAP = 1 << 13
 
@@ -494,27 +494,18 @@ def parse_tower(text, name=None):
     current_proj = None
     for lineno, line in lex_lines(text):
         if line.startswith("levels:"):
-            try:
-                n_levels = int(line[len("levels:"):].strip())
-            except ValueError:
-                raise ParseError(f"line {lineno}: levels: needs an integer", line=lineno)
+            n_levels = int_field(line[len("levels:"):], lineno, "levels: needs an integer")
             current_proj = None
             continue
         if line.startswith("level "):
             head, _, rest = line.partition(":")
-            try:
-                m = int(head[len("level "):].strip())
-            except ValueError:
-                raise ParseError(f"line {lineno}: bad level header", line=lineno)
+            m = int_field(head[len("level "):], lineno, "bad level header")
             level_sets[m] = rest.split()
             current_proj = None
             continue
         if line.startswith("proj "):
             head, _, rest = line.partition(":")
-            try:
-                m = int(head[len("proj "):].strip())
-            except ValueError:
-                raise ParseError(f"line {lineno}: bad proj header", line=lineno)
+            m = int_field(head[len("proj "):], lineno, "bad proj header")
             projections[m] = {}
             current_proj = m
             if rest.strip():
@@ -526,20 +517,13 @@ def parse_tower(text, name=None):
             parts = head.split()
             if len(parts) != 3:
                 raise ParseError(f"line {lineno}: expected 'gen NAME LEVEL:'", line=lineno)
-            gname, m_str = parts[1], parts[2]
-            try:
-                m = int(m_str)
-            except ValueError:
-                raise ParseError(f"line {lineno}: bad gen level", line=lineno)
-            gen_lines.setdefault(gname, {})[m] = (rest, lineno)
+            m = int_field(parts[2], lineno, "bad gen level")
+            gen_lines.setdefault(parts[1], {})[m] = (rest, lineno)
             current_proj = None
             continue
         if line.startswith("shift "):
             head, _, rest = line.partition(":")
-            try:
-                m = int(head[len("shift "):].strip())
-            except ValueError:
-                raise ParseError(f"line {lineno}: bad shift level", line=lineno)
+            m = int_field(head[len("shift "):], lineno, "bad shift level")
             shift_lines[m] = (rest, lineno)
             current_proj = None
             continue
