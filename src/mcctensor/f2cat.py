@@ -239,13 +239,14 @@ def tensor_power_finite(m, x):
     Rows are Fun(X, C) and columns Fun(X, B), both enumerated in
     lexicographic order: positions follow X's label order, values follow the
     row/column label order of M.  The empty X gives the 1x1 identity on the
-    single empty function.  Entry at (g, f) is prod_x M(g(x), f(x)), so row
-    g's set bits are the column words in the product over positions x of
-    rowsupp(g(x)) = {b : M(g(x), b) = 1}, packed by `product_indices`.
-    Cost: O(|C|^|X| * |X|) plus the number of nonzero entries, not
-    |C|^|X| * |B|^|X| * |X|.  Over DEFAULT_ENTRY_CAP entries it raises
-    SizeCapError; row and column labels word_label cannot tell apart raise
-    LabelMismatchError.
+    single empty function.  Entry at (g, f) is prod_x M(g(x), f(x)), so the
+    rows are the Kronecker power of M's packed rows: the row of (c, g') in
+    the k-fold power is the row of g' in the (k-1)-fold power shifted to
+    each column block b, of width |B|^(k-1), with M(c, b) = 1 (the blocks
+    do not overlap, so the sum of the shifts is their OR).  Cost:
+    O(|C|^|X| * |B|) big-integer shifts and sums, not a step per entry.
+    Over DEFAULT_ENTRY_CAP entries it raises SizeCapError; row and column
+    labels word_label cannot tell apart raise LabelMismatchError.
     """
     if not isinstance(x, LabeledSet):
         x = LabeledSet(x)
@@ -259,12 +260,15 @@ def tensor_power_finite(m, x):
     require_word_labels(m.cols.labels, "column")
     n_b = len(m.cols)
     rowsupp = [[j for j in range(n_b) if (b >> j) & 1] for b in m.bits]
-    row_words = list(itertools.product(range(len(m.rows)), repeat=n))
-    bits = [sum(1 << jj for jj in product_indices([rowsupp[i] for i in g], n_b))
-            for g in row_words]
-    rows = LabeledSet(word_label(tuple(m.rows.labels[i] for i in g)) for g in row_words)
-    cols = LabeledSet(word_label(tuple(m.cols.labels[j] for j in f))
-                      for f in itertools.product(range(n_b), repeat=n))
+    bits, width = [1], 1
+    for _ in range(n):
+        shifts = [[j * width for j in js] for js in rowsupp]
+        bits = [sum(map(r.__lshift__, sh)) for sh in shifts for r in bits]
+        width *= n_b
+    # "".join is word_label when every label is one character
+    rows, cols = (LabeledSet(map("".join if all(len(l) == 1 for l in ls) else word_label,
+                                 itertools.product(ls, repeat=n)))
+                  for ls in (m.rows.labels, m.cols.labels))
     return F2Matrix(rows, cols, bits)
 
 

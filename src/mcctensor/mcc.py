@@ -35,6 +35,7 @@ class MccWindow:
             basis = LabeledSet(basis)
         tower.level(depth)  # raises DepthError when out of range
         size = tower.size(depth)
+        letters = frozenset(basis.labels)
         sup = set()
         for w in support:
             w = tuple(w)
@@ -42,11 +43,11 @@ class MccWindow:
                 raise DepthError(
                     f"support word of length {len(w)} does not fit level {depth} "
                     f"(size {size})")
-            for letter in w:
-                if letter not in basis:
-                    raise LabelMismatchError(
-                        f"support word uses letter {letter!r} outside basis "
-                        f"{list(basis.labels)}")
+            if not letters.issuperset(w):
+                letter = next(l for l in w if l not in letters)
+                raise LabelMismatchError(
+                    f"support word uses letter {letter!r} outside basis "
+                    f"{list(basis.labels)}")
             sup.add(w)
         self.tower = tower
         self.basis = basis
@@ -329,6 +330,7 @@ def parse_window(text, tower=None, tower_loader=None):
     for lineno, line in lex_lines(text):
         if line.startswith("tower:"):
             tower_ref = line[len("tower:"):].strip()
+            tower_line = lineno
             continue
         if line.startswith("basis:"):
             basis = line[len("basis:"):].split()
@@ -350,7 +352,12 @@ def parse_window(text, tower=None, tower_loader=None):
         if tower_ref is None:
             raise ParseError("window file needs a tower: header", line=1)
         loader = tower_loader or _tw.tower_from_reference
-        tower = loader(tower_ref)
+        try:
+            tower = loader(tower_ref)
+        except ParseError as e:
+            if e.line is not None:  # a line of a tower file, not of this one
+                raise
+            raise ParseError(f"line {tower_line}: {e}", line=tower_line) from None
 
     single = all(len(b) == 1 for b in basis)
     size = tower.size(depth)

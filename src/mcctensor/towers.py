@@ -24,6 +24,8 @@ depend on the level.
 from __future__ import annotations
 
 import itertools
+import re
+from operator import itemgetter
 
 from .errors import (DepthError, InvarianceError, LabelMismatchError,
                      MissingShiftError, ParseError, TowerValidationError)
@@ -380,28 +382,32 @@ def invariance_level(tower, word, m):
     return invariance_level_table(tower, {tuple(word)}, m)
 
 
+def kernel_gathers(tower, m, h):
+    """act_word(s, .) for each generator s of K(m, h): the itemgetter of s's
+    inverse, a tuple since a generator moves at least two points."""
+    return [itemgetter(*sorted(range(len(s)), key=s.__getitem__))
+            for s in tower.kernel_generators(m, h)]
+
+
 def invariance_level_table(tower, support, m):
     """Smallest h with the F2 table (a support set of level-m words) fixed
     by the induced K(m, h) action on words.  A permutation maps a finite
-    set into itself iff onto itself, so invariance under the kernel's
-    generators is invariance under the kernel."""
+    set into itself iff onto itself, so the table is invariant under the
+    kernel iff each generator's gather maps the support into it."""
     support = frozenset(support)
     for h in range(m + 1):
-        if all(act_word(s, w) in support
-               for s in tower.kernel_generators(m, h) for w in support):
+        if all(support.issuperset(map(g, support)) for g in kernel_gathers(tower, m, h)):
             return h
     return m
 
 
 def _invariance_witness(tower, support, m, h):
     """A violating orbit pair (w, g.w), g a generator of K(m, h), if the
-    table is not K(m, h)-invariant."""
-    words = sorted(support)
-    for s in tower.kernel_generators(m, h):
-        for w in words:
-            moved = act_word(s, w)
-            if moved not in support:
-                return (w, moved)
+    table is not K(m, h)-invariant: under the first generator that moves
+    the support off itself, the least w in sorted order that it moves out."""
+    for g in kernel_gathers(tower, m, h):
+        if not support.issuperset(map(g, support)):
+            return next((w, g(w)) for w in sorted(support) if g(w) not in support)
     return None
 
 
@@ -419,13 +425,14 @@ def cc_sum(tower, basis_labels, support, depth, level):
     fixed-point congruence |X| = |X^G| mod p), and the sum is the parity of
     the support, the same at every level where the table is invariant.
     """
-    basis = set(basis_labels)
+    basis = frozenset(basis_labels)
     support = frozenset(tuple(w) for w in support)
+    size = tower.size(depth)
     for w in support:
-        if len(w) != tower.size(depth):
+        if len(w) != size:
             raise DepthError(
                 f"support word length {len(w)} does not match level {depth}")
-        if not set(w) <= basis:
+        if not basis.issuperset(w):
             raise InvarianceError(f"support word {w!r} uses letters outside the basis")
     witness = _invariance_witness(tower, support, depth, min(level, depth))
     if witness is not None:
@@ -598,10 +605,7 @@ def dump_tower(tower):
 
 def tower_from_reference(ref):
     """Resolve a tower reference: 'dyadic L' / 'dyadic L xK' built-ins."""
-    parts = ref.split()
-    if parts and parts[0] == "dyadic":
-        if len(parts) == 2:
-            return dyadic_solenoid(int(parts[1]))
-        if len(parts) == 3 and parts[2].startswith("x"):
-            return dyadic_solenoid(int(parts[1]), copies=int(parts[2][1:]))
+    found = re.fullmatch(r"dyadic (-?\d+)(?: x(-?\d+))?", " ".join(ref.split()))
+    if found:
+        return dyadic_solenoid(int(found[1]), copies=int(found[2] or 1))
     raise ParseError(f"unknown tower reference {ref!r} (expected e.g. 'dyadic 3')")

@@ -245,6 +245,18 @@ def test_mcc_apply_parse_error(capsys, tmp_path):
     assert "line 4" in rep["error"]["message"]
 
 
+@pytest.mark.parametrize("ref", ["dyadic x", "dyadic 2 xq"])
+def test_mcc_apply_bad_tower_header(capsys, tmp_path, ref):
+    mat, _ = write_swap_fixtures(tmp_path)
+    win = tmp_path / "bad.txt"
+    win.write_text(f"tower: {ref}\nbasis: x y\ndepth: 1\nxy 1\n")
+    code, rep = run_json(capsys, "mcc", "apply", mat, str(win))
+    assert code == 2
+    assert rep["error"] == {
+        "type": "ParseError",
+        "message": f"line 1: unknown tower reference {ref!r} (expected e.g. 'dyadic 3')"}
+
+
 def test_missing_subcommand_prints_help(capsys):
     assert main([]) == 2
     assert main(["mcc"]) == 2

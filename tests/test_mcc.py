@@ -45,6 +45,14 @@ def test_window_rejects_bad_words():
         win(1, "xz")
 
 
+def test_window_names_the_first_letter_outside_the_basis():
+    for support, letter in (([("x", "y"), ("x", "q"), ("r", "s")], "q"),
+                            ([("r", "q")], "r")):
+        with pytest.raises(LabelMismatchError) as e:
+            MccWindow(TOWER, XY, 1, support)
+        assert str(e.value) == f"support word uses letter {letter!r} outside basis ['x', 'y']"
+
+
 def test_window_invariance_level_recomputed():
     assert win(2, "xyxy").inv_level == 1
     assert win(2, "xxxx").inv_level == 0
@@ -401,6 +409,28 @@ def test_window_parse_errors():
         parse_window("basis: x y\ndepth: 1\nxz 1\n", tower=TOWER)
     with pytest.raises(ParseError):
         parse_window("basis: x y\ndepth: one\n", tower=TOWER)
+
+
+@pytest.mark.parametrize("ref", ["dyadic x", "dyadic 2 xq"])
+def test_window_tower_header_needs_integer_counts(tmp_path, ref):
+    text = f"# a window\ntower: {ref}\nbasis: x y\ndepth: 1\nxy 1\n"
+    p = tmp_path / "w.txt"
+    p.write_text(text)
+    for parse in (lambda: parse_window(text), lambda: load_window(str(p))):
+        with pytest.raises(ParseError) as e:
+            parse()
+        assert e.value.line == 2
+        assert str(e.value) == \
+            f"line 2: unknown tower reference {ref!r} (expected e.g. 'dyadic 3')"
+
+
+def test_window_keeps_the_line_of_a_tower_file_error(tmp_path):
+    (tmp_path / "t.tower").write_text("levels: 1\nlevel 0: 0\ngen s 0: (0 1)\n")
+    p = tmp_path / "w.txt"
+    p.write_text("tower: file t.tower\nbasis: x y\ndepth: 0\n")
+    with pytest.raises(ParseError) as e:
+        load_window(str(p))
+    assert e.value.line == 3 and str(e.value).startswith("line 3: ")
 
 
 def test_load_window_from_file(tmp_path):

@@ -3,22 +3,23 @@
 Each row compares a fast path in `src/` with the enumeration it replaced,
 kept here as the oracle, on shared Hypothesis strategies at small sizes.
 
-    fast path                         oracle (here)                    strategy        size bound
-    apply_mcc, fiber products         scan_apply_mcc, every out word   apply_cases     C^X_out <= 512
-    tensor_power_finite, row products loop_tensor_power, every entry   tensor_cases    |X| <= 4
-    invariance_level(_table), gens    kernel_invariance_level(_table)  tower_tables    depth <= 3
-    cc_sum, generators                kernel_fixed_word_sum            tower_tables    depth <= 3
-    predicate stability, gens         kernel_unstable                  towers          2^|X| <= 16
-    kernel_generators                 closure equals kernel            TOWERS          every (m, h)
-    dumps_bimodule, direct writer     json.dumps(indent=2, sort_keys)  renamed_boxes   P^1, P^2, P^4
-    DABimodule term validation, tables per_letter_validate             mutated_terms   seed box terms
-    rank, invert: one Gauss-Jordan    loop_rank, loop_invert           square_cases    8 x 8
-    perm_cycles, cycles_of            loop_orbits, loop_cycles_of      permutations    16 points
-    walks_of_length                   hh0_quotient_dim, listed_walks   graphs          length 4
-    closed_walk_count_trace           walks_of_length                  graphs          length 6
-    apply_mcc                         tensor_power_finite, apply       pullback_cases  C^X_out <= 64
-    box-power diagonals + 2           staircase_dims on fig8           seed box        P^1, P^2, P^4
-    hfk_dimensions, counts from C     assembled_dimension_totals       seed box        P^1 .. P^8
+    fast path                                  oracle (here)                    strategy        size bound
+    apply_mcc, fiber products                  scan_apply_mcc, every out word   apply_cases     C^X_out <= 512
+    tensor_power_finite, Kronecker rows        loop_tensor_power, every entry   tensor_cases    |X| <= 5
+    invariance_level(_table), inverse gathers  kernel_invariance_level(_table)  tower_tables    depth <= 3
+    cc_sum, inverse gathers                    kernel_fixed_word_sum            tower_tables    depth <= 3
+    kernel_gathers                             act_word, each generator         TOWERS          every (m, h)
+    predicate stability, gens                  kernel_unstable                  towers          2^|X| <= 16
+    kernel_generators                          closure equals kernel            TOWERS          every (m, h)
+    dumps_bimodule, direct writer              json.dumps(indent=2, sort_keys)  renamed_boxes   P^1, P^2, P^4
+    DABimodule term validation, tables         per_letter_validate              mutated_terms   seed box terms
+    rank, invert: one Gauss-Jordan             loop_rank, loop_invert           square_cases    8 x 8
+    perm_cycles, cycles_of                     loop_orbits, loop_cycles_of      permutations    16 points
+    walks_of_length                            hh0_quotient_dim, listed_walks   graphs          length 4
+    closed_walk_count_trace                    walks_of_length                  graphs          length 6
+    apply_mcc                                  tensor_power_finite, apply       pullback_cases  C^X_out <= 64
+    box-power diagonals + 2                    staircase_dims on fig8           seed box        P^1, P^2, P^4
+    hfk_dimensions, counts from C              assembled_dimension_totals       seed box        P^1 .. P^8
 
 The towers are the plain solenoid, two parallel solenoids and a parsed
 tower whose level-2 group is dihedral of order 8, so that its kernels are
@@ -45,7 +46,7 @@ from mcctensor.solenoidal import (GraphBasis, closed_walk_count_trace, fig8,
                                   hh0_quotient_dim, staircase_dims, walks_of_length)
 from mcctensor.towers import (act_word, cc_sum, cycles_of, dyadic_solenoid,
                               invariance_level, invariance_level_table,
-                              parse_tower, perm_cycles)
+                              kernel_gathers, parse_tower, perm_cycles)
 
 DIHEDRAL_TEXT = """\
 levels: 3
@@ -334,11 +335,27 @@ def apply_cases(draw):
     return draw(matrices(out_basis, basis)), window, out_depth
 
 
+# one-character, mixed-length and multi-character labels: word_label joins
+# a word with "" only when each of its letters is one character, so a
+# mixed basis has words of both kinds
+LABEL_POOLS = (("x", "y", "z"), ("xx", "y", "zz"), ("c0", "c1", "c2"))
+
+
+@st.composite
+def power_labels(draw):
+    pool = draw(st.sampled_from(LABEL_POOLS))
+    return LabeledSet(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3,
+                                    unique=True)))
+
+
 @st.composite
 def tensor_cases(draw):
-    m = draw(matrices(labeled("c", draw(st.integers(1, 3))),
-                      labeled("b", draw(st.integers(1, 3)))))
-    return m, LabeledSet([f"x{i}" for i in range(draw(st.integers(0, 4)))])
+    """A matrix and an X of up to 5 points; the power has at most 3^8
+    entries."""
+    rows, cols = draw(power_labels()), draw(power_labels())
+    n = draw(st.sampled_from([k for k in range(6)
+                              if (len(rows) * len(cols)) ** k <= 3 ** 8]))
+    return draw(matrices(rows, cols)), LabeledSet([f"x{i}" for i in range(n)])
 
 
 @st.composite
@@ -447,8 +464,10 @@ def test_apply_mcc_matches_output_scan(case):
     assert out.inv_level == kernel_invariance_level_table(window.tower, want, out_depth)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(tensor_cases())
+@example((F2Matrix.from_rows(["xx", "y"], ["xx", "y"], [[1, 1], [0, 1]]),
+          LabeledSet(["x0", "x1"])))
 def test_tensor_power_matches_entry_loop(case):
     m, x = case
     got = tensor_power_finite(m, x)
@@ -482,6 +501,43 @@ def test_cc_sum_matches_fixed_word_sum(case, level):
     else:
         assert cc_sum(tower, ("x", "y"), support, depth, level) == \
             kernel_fixed_word_sum(tower, support, depth, level)
+
+
+@pytest.mark.parametrize("name", sorted(TOWERS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_kernel_gathers_match_act_word(name, data):
+    tower = TOWERS[name]
+    for m in range(tower.max_level + 1):
+        size = tower.size(m)
+        words = data.draw(st.lists(st.tuples(*[st.sampled_from("xyz")] * size),
+                                   max_size=4))
+        words.append(tuple(range(size)))  # distinct letters show the whole map
+        for h in range(m + 1):
+            gathers = kernel_gathers(tower, m, h)
+            gens = tower.kernel_generators(m, h)
+            assert len(gathers) == len(gens)
+            for g, s in zip(gathers, gens):
+                assert [g(w) for w in words] == [act_word(s, w) for w in words]
+
+
+@pytest.mark.parametrize("name, support, level, pair", [
+    ("dyadic 3", ("xxxx", "xyxy", "yxyx", "xxyy"), 0, ("xxyy", "yxxy")),
+    ("dyadic 3", ("xxxx", "xyxy", "yxyx", "xxyy"), 1, ("xxyy", "yyxx")),
+    # the first of three generators fixes the table; the second moves two
+    # words out of it, and the third others
+    ("parsed dihedral", ("xxxx", "xxxy", "xxyx", "yxxy", "yxyx"), 0, ("yxxy", "xyxy")),
+])
+def test_cc_sum_reports_the_sorted_scan_pair(name, support, level, pair):
+    """The gathers only accept; a refused table reports the least word in
+    sorted order that the first moving generator sends out of it."""
+    pair = tuple(tuple(w) for w in pair)
+    with pytest.raises(InvarianceError) as e:
+        cc_sum(TOWERS[name], ("x", "y"), [tuple(w) for w in support], 2, level)
+    assert e.value.pair == pair
+    assert str(e.value) == (
+        f"table is not invariant at level {level}: words {pair[0]!r} and "
+        f"{pair[1]!r} lie in one orbit but only one is in the support")
 
 
 PREDICATES = (
