@@ -425,7 +425,7 @@ def cc_sum(tower, basis_labels, support, depth, level):
     fixed-point congruence |X| = |X^G| mod p), and the sum is the parity of
     the support, the same at every level where the table is invariant.
     """
-    basis = frozenset(basis_labels)
+    basis = set(basis_labels)
     support = frozenset(tuple(w) for w in support)
     size = tower.size(depth)
     for w in support:
