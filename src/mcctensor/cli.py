@@ -30,9 +30,9 @@ _LAYER_NAMES = {
     "solenoidal": ("GraphMorphism", "apply_solenoidal", "compose_morphisms",
                    "composition_counterexample_search", "fig8", "load_graph",
                    "staircase_dims"),
-    "floer": ("box_power", "box_tensor", "dumps_bimodule", "golden_box_text",
+    "floer": ("bimodule_to_dict", "box_power", "box_tensor", "golden_box_text",
               "hfk_dimensions", "hochschild_generators", "resolve_bimodule",
-              "vanishing_certificate"),
+              "vanishing_certificate", "write_bimodule"),
     "towers": ("act_word", "cc_sum", "dyadic_solenoid"),
 }
 _LAYER_OF = {name: layer for layer, names in _LAYER_NAMES.items() for name in names}
@@ -215,7 +215,8 @@ def cmd_dims(args):
 # -- box -------------------------------------------------------------------------------
 
 def cmd_box(args):
-    from .floer import box_power, box_tensor, dumps_bimodule, resolve_bimodule
+    from .floer import (bimodule_to_dict, box_power, box_tensor, resolve_bimodule,
+                        write_bimodule)
 
     if args.power < 1:
         raise MccError("power must be >= 1")
@@ -223,7 +224,6 @@ def cmd_box(args):
     right = resolve_bimodule(args.right)
     pair = box_tensor(left, right, name="box")
     result = box_power(pair, args.power) if args.power > 1 else pair
-    text = dumps_bimodule(result)
     artifacts = []
     report = {"command": "box", "left": args.left, "right": args.right,
               "power": args.power,
@@ -232,10 +232,10 @@ def cmd_box(args):
               "checks": [], "artifacts": artifacts}
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            write_bimodule(result, fh)
         artifacts.append(args.out)
     else:
-        report["result"]["bimodule"] = json.loads(text)
+        report["result"]["bimodule"] = bimodule_to_dict(result)
     return _emit(report)
 
 

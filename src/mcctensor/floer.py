@@ -738,35 +738,40 @@ def bimodule_from_dict(d, name=None):
 _QUOTED_LABELS = {a: json.dumps(a) for a in RHO_LABELS + (UNIT,)}
 
 
-def _json_list(items, indent):
-    """A JSON list of already-encoded items, laid out as json.dumps with
-    indent=2 lays out a list nested `indent` spaces deep."""
-    if not items:
-        return "[]"
-    pad = " " * (indent + 2)
-    return "[\n" + pad + (",\n" + pad).join(items) + "\n" + " " * indent + "]"
+def _bimodule_pieces(p):
+    """The text of dumps_bimodule(p), one piece per generator and per term;
+    each list is laid out as json.dumps with indent=2 lays it out."""
+    name = {g: json.dumps(g) for (g, _, _) in p.generators}
+    yield '{\n  "algebra": "torus",\n  "generators": ['
+    sep = "\n    "
+    for (g, l, r) in sorted(p.generators):
+        yield (f'{sep}{{\n      "left": {json.dumps(l)},\n'
+               f'      "name": {name[g]},\n'
+               f'      "right": {json.dumps(r)}\n    }}')
+        sep = ",\n    "
+    yield ("\n  ]" if p.generators else "]") + ',\n  "terms": ['
+    sep = "\n    "
+    for (x, ins, out, y) in p.sorted_terms:
+        inputs = ("[\n        " + ",\n        ".join([_QUOTED_LABELS[a] for a in ins])
+                  + "\n      ]" if ins else "[]")
+        yield (f'{sep}{{\n      "inputs": {inputs},\n'
+               f'      "output": {_QUOTED_LABELS[out]},\n'
+               f'      "x": {name[x]},\n'
+               f'      "y": {name[y]}\n    }}')
+        sep = ",\n    "
+    yield ("\n  ]" if p.sorted_terms else "]") + "\n}\n"
 
 
 def dumps_bimodule(p):
     """The canonical JSON text of `p`: the same bytes as
     json.dumps(bimodule_to_dict(p), indent=2, sort_keys=True) + "\n",
     written directly for the fixed layout (keys in sorted order)."""
-    name = {g: json.dumps(g) for (g, _, _) in p.generators}
-    gens = ["{\n"
-            f'      "left": {json.dumps(l)},\n'
-            f'      "name": {name[g]},\n'
-            f'      "right": {json.dumps(r)}\n'
-            "    }" for (g, l, r) in sorted(p.generators)]
-    terms = ["{\n"
-             f'      "inputs": {_json_list([_QUOTED_LABELS[a] for a in ins], 6)},\n'
-             f'      "output": {_QUOTED_LABELS[out]},\n'
-             f'      "x": {name[x]},\n'
-             f'      "y": {name[y]}\n'
-             "    }" for (x, ins, out, y) in p.sorted_terms]
-    return ('{\n  "algebra": "torus",\n'
-            f'  "generators": {_json_list(gens, 2)},\n'
-            f'  "terms": {_json_list(terms, 2)}\n'
-            "}\n")
+    return "".join(_bimodule_pieces(p))
+
+
+def write_bimodule(p, fh):
+    """Write dumps_bimodule(p) to the text file `fh` piece by piece."""
+    fh.writelines(_bimodule_pieces(p))
 
 
 def load_bimodule(path):

@@ -3,12 +3,16 @@
 import copy
 import itertools
 import json
+import os
+import tracemalloc
 
 import pytest
 
 import mcctensor.cli
+import mcctensor.floer
 from mcctensor.cli import main
-from mcctensor.floer import golden_box_text
+from mcctensor.floer import (box_power, dumps_bimodule, golden_box_text, seed_box,
+                             write_bimodule)
 from mcctensor.mcc import load_window
 
 
@@ -151,6 +155,44 @@ def test_box_power_two(capsys):
     code, rep = run_json(capsys, "box", "tb_inv", "ta", "--power", "2")
     assert code == 0
     assert rep["result"]["generators"] == 13 and rep["result"]["terms"] == 105
+
+
+def refuse(*args):
+    raise AssertionError("box must not hold the whole artifact text")
+
+
+def test_box_out_writes_without_the_whole_text(capsys, monkeypatch, tmp_path):
+    expected = dumps_bimodule(box_power(seed_box(), 2)).encode("utf-8")
+    monkeypatch.setattr(mcctensor.floer, "dumps_bimodule", refuse)
+    out = tmp_path / "p2.json"
+    code, _ = run(capsys, "box", "tb_inv", "ta", "--power", "2", "--out", str(out))
+    assert code == 0
+    assert out.read_bytes() == expected
+
+
+def test_box_report_reads_no_artifact_text(capsys, monkeypatch):
+    """The report's bimodule comes from the term table, never from a
+    serialized and re-parsed text; the golden reports pin its bytes."""
+    monkeypatch.setattr(mcctensor.floer, "dumps_bimodule", refuse)
+    monkeypatch.setattr(json, "loads", refuse)
+    code, out = run(capsys, "box", "tb_inv", "ta", "--power", "2")
+    monkeypatch.undo()
+    assert code == 0
+    assert json.loads(out)["result"]["generators"] == 13
+
+
+def test_writing_p4_holds_under_a_megabyte():
+    """The P^4 artifact is 2.34 MB of text; the writer holds one piece at a
+    time."""
+    p4 = box_power(seed_box(), 4)
+    with open(os.devnull, "w", encoding="utf-8") as fh:
+        tracemalloc.start()
+        try:
+            write_bimodule(p4, fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_box_power_zero_rejected(capsys):

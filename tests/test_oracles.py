@@ -3,29 +3,30 @@
 Each row compares a fast path in `src/` with the enumeration it replaced,
 kept here as the oracle, on shared Hypothesis strategies at small sizes.
 
-    fast path                                  oracle (here)                    strategy        size bound
-    apply_mcc, fiber products                  scan_apply_mcc, every out word   apply_cases     C^X_out <= 512
-    tensor_power_finite, Kronecker rows        loop_tensor_power, every entry   tensor_cases    |X| <= 5
-    invariance_level(_table), inverse gathers  kernel_invariance_level(_table)  tower_tables    depth <= 3
-    cc_sum, inverse gathers                    kernel_fixed_word_sum            tower_tables    depth <= 3
-    kernel_gathers                             act_word, each generator         TOWERS          every (m, h)
-    predicate stability, gens                  kernel_unstable                  towers          2^|X| <= 16
-    kernel_generators                          closure equals kernel            TOWERS          every (m, h)
-    dumps_bimodule, direct writer              json.dumps(indent=2, sort_keys)  renamed_boxes   P^1, P^2, P^4
-    DABimodule term validation, tables         per_letter_validate              mutated_terms   seed box terms
-    rank, invert: one Gauss-Jordan             loop_rank, loop_invert           square_cases    8 x 8
-    perm_cycles, cycles_of                     loop_orbits, loop_cycles_of      permutations    16 points
-    walks_of_length                            hh0_quotient_dim, listed_walks   graphs          length 4
-    closed_walk_count_trace                    walks_of_length                  graphs          length 6
-    apply_mcc                                  tensor_power_finite, apply       pullback_cases  C^X_out <= 64
-    box-power diagonals + 2                    staircase_dims on fig8           seed box        P^1, P^2, P^4
-    hfk_dimensions, counts from C              assembled_dimension_totals       seed box        P^1 .. P^8
+    fast path                                            oracle (here)                    strategy        size bound
+    apply_mcc, fiber products                            scan_apply_mcc, every out word   apply_cases     C^X_out <= 512
+    tensor_power_finite, Kronecker rows                  loop_tensor_power, every entry   tensor_cases    |X| <= 5
+    invariance_level(_table), inverse gathers            kernel_invariance_level(_table)  tower_tables    depth <= 3
+    cc_sum, inverse gathers                              kernel_fixed_word_sum            tower_tables    depth <= 3
+    kernel_gathers                                       act_word, each generator         TOWERS          every (m, h)
+    predicate stability, gens                            kernel_unstable                  towers          2^|X| <= 16
+    kernel_generators                                    closure equals kernel            TOWERS          every (m, h)
+    dumps_bimodule, write_bimodule: one piece generator  json.dumps(indent=2, sort_keys)  renamed_boxes   P^1, P^2, P^4
+    DABimodule term validation, tables                   per_letter_validate              mutated_terms   seed box terms
+    rank, invert: one Gauss-Jordan                       loop_rank, loop_invert           square_cases    8 x 8
+    perm_cycles, cycles_of                               loop_orbits, loop_cycles_of      permutations    16 points
+    walks_of_length                                      hh0_quotient_dim, listed_walks   graphs          length 4
+    closed_walk_count_trace                              walks_of_length                  graphs          length 6
+    apply_mcc                                            tensor_power_finite, apply       pullback_cases  C^X_out <= 64
+    box-power diagonals + 2                              staircase_dims on fig8           seed box        P^1, P^2, P^4
+    hfk_dimensions, counts from C                        assembled_dimension_totals       seed box        P^1 .. P^8
 
 The towers are the plain solenoid, two parallel solenoids and a parsed
 tower whose level-2 group is dihedral of order 8, so that its kernels are
 not cyclic.
 """
 
+import io
 import itertools
 import json
 import math
@@ -40,7 +41,7 @@ from mcctensor.floer import (RHO_LABELS, UNIT, DABimodule, bimodule_to_dict,
                              box_generators, box_power, box_tensor, cfda_ta,
                              cfda_tb_inv, dumps_bimodule, hfk_dimensions,
                              hochschild_generators, seed_box, torus_algebra,
-                             vanishing_certificate)
+                             vanishing_certificate, write_bimodule)
 from mcctensor.mcc import MccWindow, apply_mcc
 from mcctensor.solenoidal import (GraphBasis, closed_walk_count_trace, fig8,
                                   hh0_quotient_dim, staircase_dims, walks_of_length)
@@ -145,6 +146,12 @@ def kernel_unstable(tower, depth, h, parts, allowed):
 
 def json_dumps_bimodule(p):
     return json.dumps(bimodule_to_dict(p), indent=2, sort_keys=True) + "\n"
+
+
+def written_bimodule(p):
+    fh = io.StringIO()
+    write_bimodule(p, fh)
+    return fh.getvalue()
 
 
 def per_letter_validate(p, term):
@@ -602,6 +609,7 @@ def test_dihedral_tower_kernels_are_not_cyclic():
 ], ids=["tb_inv", "ta", "P1", "P2", "P4", "no terms", "empty"])
 def test_dumps_bimodule_matches_json_dumps(p):
     assert dumps_bimodule(p) == json_dumps_bimodule(p)
+    assert written_bimodule(p) == json_dumps_bimodule(p)
 
 
 @settings(max_examples=100, deadline=None)
@@ -609,6 +617,7 @@ def test_dumps_bimodule_matches_json_dumps(p):
 def test_dumps_bimodule_escapes_like_json_dumps(p):
     text = dumps_bimodule(p)
     assert text == json_dumps_bimodule(p)
+    assert written_bimodule(p) == text
     assert json.loads(text) == bimodule_to_dict(p)
 
 
