@@ -9,12 +9,14 @@ explicit --seed; changing the seed changes case selection, never pass/fail.
 """
 
 import argparse
-import importlib
 import json
 import re
 import sys
 import time
 
+# the package's exports read as `mcctensor.cli.<name>` too, each looked up
+# in its layer on access, so none can go stale
+from . import __getattr__  # noqa: F401
 from .errors import CertificateError, CrossCheckError, MccError
 
 # Each command imports the layers it uses inside its own body, so that a
@@ -22,43 +24,13 @@ from .errors import CertificateError, CrossCheckError, MccError
 # imports this module: under `python -m mcctensor.cli` that would run it a
 # second time.
 
-# layer functions the commands call, readable as `mcctensor.cli.<name>`; each
-# access reads the layer's current attribute, so none can go stale
-_LAYER_NAMES = {
-    "f2cat": ("F2Matrix", "LabeledSet", "compose", "parse_matrix"),
-    "mcc": ("MccWindow", "apply_mcc", "dump_window", "load_window"),
-    "solenoidal": ("GraphMorphism", "apply_solenoidal", "compose_morphisms",
-                   "composition_counterexample_search", "fig8", "load_graph",
-                   "staircase_dims"),
-    "floer": ("bimodule_to_dict", "box_power", "box_tensor", "golden_box_text",
-              "hfk_dimensions", "hochschild_generators", "resolve_bimodule",
-              "vanishing_certificate", "write_bimodule"),
-    "towers": ("act_word", "cc_sum", "dyadic_solenoid"),
-}
-_LAYER_OF = {name: layer for layer, names in _LAYER_NAMES.items() for name in names}
-
-
-def __getattr__(name):
-    layer = _LAYER_OF.get(name)
-    if layer is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f".{layer}", __package__), name)
-
-
 MAX_DEPTH_CAP = 3
 
 
-def _jsonable(obj):
-    """Coerce report payloads (tuples, sets, words) into plain JSON types."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (set, frozenset)):
-        return sorted(_jsonable(v) for v in obj)
-    if isinstance(obj, (str, int, float, bool)) or obj is None:
-        return obj
-    return repr(obj)
+def _plain(obj):
+    """json's fallback for a report value it cannot encode: a set as its
+    sorted list, anything else as its repr."""
+    return sorted(obj) if isinstance(obj, (set, frozenset)) else repr(obj)
 
 
 class Suite:
@@ -99,7 +71,7 @@ _CHECK_MS = re.compile(r'^(      "ms": )(\d+)', re.M)
 def _emit(report):
     checks = report.get("checks", [])
     report["ok"] = all(c["status"] == "pass" for c in checks)
-    text = json.dumps(_jsonable(report), indent=2, sort_keys=True)
+    text = json.dumps(report, indent=2, sort_keys=True, default=_plain)
     # right-align the timings, so that the report's size does not depend on
     # the clock; JSON allows the whitespace before a value
     print(_CHECK_MS.sub(lambda m: m.group(1) + m.group(2).rjust(MS_WIDTH), text))
@@ -202,7 +174,7 @@ def cmd_dims(args):
             return 0 if suite.ok else 1
     elif args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(_jsonable(table), fh, indent=2, sort_keys=True)
+            json.dump(table, fh, indent=2, sort_keys=True, default=_plain)
             fh.write("\n")
         artifacts.append(args.out)
 
@@ -368,7 +340,7 @@ def main(argv=None):
         error = {"type": type(e).__name__, "message": str(e)}
         code = 2
     report = {"command": getattr(args, "cmd", None), "ok": False, "error": error}
-    print(json.dumps(_jsonable(report), indent=2, sort_keys=True))
+    print(json.dumps(report, indent=2, sort_keys=True, default=_plain))
     return code
 
 

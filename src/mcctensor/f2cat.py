@@ -308,13 +308,27 @@ def rank(m):
     return len(_gauss_jordan(m.bits, len(m.cols))[1])
 
 
-def lex_lines(text):
-    """(line number, line) for each line of a text format that holds
-    something once its #-comment is cut; blank lines are skipped."""
+def lex_lines(text, headers):
+    """(line number, head, value) for each line of a text format that holds
+    something once its #-comment is cut; blank lines are skipped.  A line
+    starting with one of the format's `headers` prefixes has as head its
+    text before the first ':', single-spaced, and as value the text after
+    it; any other line has head None and is its own value.  A head met a
+    second time raises ParseError at that line."""
+    seen = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
+        if not line.startswith(headers):
+            if line:
+                yield lineno, None, line
+            continue
+        before, _, value = line.partition(":")
+        head = " ".join(before.split())
+        if head in seen:
+            raise ParseError(f"line {lineno}: repeated header {head!r} "
+                             f"(first on line {seen[head]})", line=lineno)
+        seen[head] = lineno
+        yield lineno, head, value
 
 
 def int_field(text, lineno, message):
@@ -350,12 +364,12 @@ def parse_matrix(text):
     rows = cols = None
     data = []
     data_lines = []
-    for lineno, line in lex_lines(text):
-        if line.startswith("rows:"):
-            rows = line[len("rows:"):].split()
+    for lineno, head, line in lex_lines(text, ("rows:", "cols:")):
+        if head == "rows":
+            rows = line.split()
             continue
-        if line.startswith("cols:"):
-            cols = line[len("cols:"):].split()
+        if head == "cols":
+            cols = line.split()
             continue
         if rows is None or cols is None:
             raise ParseError(f"line {lineno}: matrix data before rows:/cols: headers", line=lineno)

@@ -322,21 +322,24 @@ def odd_spike_series(tower, x="x", y="y"):
 # multi-character basis labels use comma-separated words.  Omitted words are
 # zero.  Blank lines and #-comments are ignored.
 
+_WINDOW_HEADERS = ("tower:", "basis:", "depth:")
+
+
 def parse_window(text, tower=None, tower_loader=None):
     tower_ref = None
     basis = None
     depth = None
     word_lines = []
-    for lineno, line in lex_lines(text):
-        if line.startswith("tower:"):
-            tower_ref = line[len("tower:"):].strip()
+    for lineno, head, line in lex_lines(text, _WINDOW_HEADERS):
+        if head == "tower":
+            tower_ref = line.strip()
             tower_line = lineno
             continue
-        if line.startswith("basis:"):
-            basis = line[len("basis:"):].split()
+        if head == "basis":
+            basis = line.split()
             continue
-        if line.startswith("depth:"):
-            depth = int_field(line[len("depth:"):], lineno, "depth: needs an integer")
+        if head == "depth":
+            depth = int_field(line, lineno, "depth: needs an integer")
             continue
         parts = line.split()
         if len(parts) != 2:
@@ -354,8 +357,8 @@ def parse_window(text, tower=None, tower_loader=None):
         loader = tower_loader or _tw.tower_from_reference
         try:
             tower = loader(tower_ref)
-        except ParseError as e:
-            if e.line is not None:  # a line of a tower file, not of this one
+        except (ParseError, TowerValidationError) as e:
+            if getattr(e, "line", None) is not None:  # a line of a tower file
                 raise
             raise ParseError(f"line {tower_line}: {e}", line=tower_line) from None
 
@@ -379,23 +382,17 @@ def parse_window(text, tower=None, tower_loader=None):
     return MccWindow(tower, basis, depth, support)
 
 
-_WINDOW_HEADERS = ("tower:", "basis:", "depth:")
-
-
-def dump_window(window, tower_ref=None):
+def dump_window(window):
     labels = window.basis.labels
     require_token_labels(labels, "basis")
     require_word_labels(labels, "basis")
     single = all(len(b) == 1 for b in labels)
     lines = []
-    if tower_ref is None:
-        name = window.tower.name or ""
-        if name == "dyadic":
-            tower_ref = f"dyadic {window.tower.max_level}"
-        elif name.startswith("dyadic-x"):
-            tower_ref = f"dyadic {window.tower.max_level} x{name[len('dyadic-x'):]}"
-    if tower_ref:
-        lines.append(f"tower: {tower_ref}")
+    name = window.tower.name or ""
+    if name == "dyadic":
+        lines.append(f"tower: dyadic {window.tower.max_level}")
+    elif name.startswith("dyadic-x"):
+        lines.append(f"tower: dyadic {window.tower.max_level} x{name[len('dyadic-x'):]}")
     lines.append("basis: " + " ".join(labels))
     lines.append(f"depth: {window.depth}")
     for w in sorted(window.support):

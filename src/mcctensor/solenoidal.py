@@ -362,9 +362,9 @@ def parse_graph(text):
     edges = []
     s = {}
     t = {}
-    for lineno, line in lex_lines(text):
-        if line.startswith("idempotents:"):
-            idem = line[len("idempotents:"):].split()
+    for lineno, head, line in lex_lines(text, ("idempotents:",)):
+        if head == "idempotents":
+            idem = line.split()
             continue
         if line.startswith("edge "):
             parts = line.split()

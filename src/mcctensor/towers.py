@@ -295,16 +295,18 @@ class DyadicTower:
                         f"projection to level {m}: fiber over "
                         f"{self.levels[m].labels[j]!r} has size {c}, not a power of 2")
 
-        # generators commute with projections, pairwise by name
-        for gname in self.gen_names:
-            perms = self.gens[gname]
+        # the generators, by name, and the shift commute with the projections
+        moves = [(f"generator {g!r}", self.gens[g]) for g in self.gen_names]
+        if self.shift is not None:
+            moves.append(("shift", self.shift))
+        for what, perms in moves:
             for m in range(self.max_level):
                 c2p = self.child_to_parent[m]
                 lower, upper = perms[m], perms[m + 1]
                 for i in range(self.size(m + 1)):
                     if c2p[upper[i]] != lower[c2p[i]]:
                         raise TowerValidationError(
-                            f"generator {gname!r} does not commute with the projection "
+                            f"{what} does not commute with the projection "
                             f"to level {m} at {self.levels[m + 1].labels[i]!r}")
 
         # each level group is a finite 2-group
@@ -314,7 +316,7 @@ class DyadicTower:
                 raise TowerValidationError(
                     f"level-{m} group has order {order}, not a power of 2")
 
-        # the shift commutes with the action and the projections
+        # the shift commutes with the action
         if self.shift is not None:
             for m in range(self.max_level + 1):
                 s = self.shift[m]
@@ -323,13 +325,6 @@ class DyadicTower:
                     if any(s[g[i]] != g[s[i]] for i in range(len(s))):
                         raise TowerValidationError(
                             f"shift does not commute with generator {gname!r} at level {m}")
-            for m in range(self.max_level):
-                c2p = self.child_to_parent[m]
-                s_low, s_high = self.shift[m], self.shift[m + 1]
-                for i in range(self.size(m + 1)):
-                    if c2p[s_high[i]] != s_low[c2p[i]]:
-                        raise TowerValidationError(
-                            f"shift does not commute with the projection to level {m}")
 
     def __repr__(self):
         nm = f" {self.name!r}" if self.name else ""
@@ -347,6 +342,11 @@ def dyadic_solenoid(max_level, copies=1):
         raise TowerValidationError("max_level must be >= 0")
     if copies < 1:
         raise TowerValidationError("copies must be >= 1")
+    # the level-m group is (Z/2^m)^copies, of order 2^(m * copies): refuse the
+    # first level past GROUP_SIZE_CAP before building any
+    over = -(-GROUP_SIZE_CAP.bit_length() // copies)
+    if max_level >= over:
+        raise TowerValidationError(f"level-{over} group exceeds size cap {GROUP_SIZE_CAP}")
     tags = [chr(ord("a") + c) for c in range(copies)] if copies > 1 else [""]
 
     def lab(tag, i):
@@ -492,6 +492,9 @@ def cycles_of(perm, labels):
     return "".join(out) if out else "()"
 
 
+_TOWER_HEADERS = ("levels:", "level ", "proj ", "gen ", "shift ")
+
+
 def parse_tower(text, name=None):
     n_levels = None
     level_sets = {}
@@ -499,49 +502,37 @@ def parse_tower(text, name=None):
     gen_lines = {}
     shift_lines = {}
     current_proj = None
-    for lineno, line in lex_lines(text):
-        if line.startswith("levels:"):
-            n_levels = int_field(line[len("levels:"):], lineno, "levels: needs an integer")
-            current_proj = None
-            continue
-        if line.startswith("level "):
-            head, _, rest = line.partition(":")
-            m = int_field(head[len("level "):], lineno, "bad level header")
-            level_sets[m] = rest.split()
-            current_proj = None
-            continue
-        if line.startswith("proj "):
-            head, _, rest = line.partition(":")
-            m = int_field(head[len("proj "):], lineno, "bad proj header")
-            projections[m] = {}
-            current_proj = m
-            if rest.strip():
-                raise ParseError(
-                    f"line {lineno}: proj entries go on following lines", line=lineno)
-            continue
-        if line.startswith("gen "):
-            head, _, rest = line.partition(":")
-            parts = head.split()
-            if len(parts) != 3:
-                raise ParseError(f"line {lineno}: expected 'gen NAME LEVEL:'", line=lineno)
-            m = int_field(parts[2], lineno, "bad gen level")
-            gen_lines.setdefault(parts[1], {})[m] = (rest, lineno)
-            current_proj = None
-            continue
-        if line.startswith("shift "):
-            head, _, rest = line.partition(":")
-            m = int_field(head[len("shift "):], lineno, "bad shift level")
-            shift_lines[m] = (rest, lineno)
-            current_proj = None
-            continue
-        if "->" in line and current_proj is not None:
-            child, _, parent = line.partition("->")
+    for lineno, head, rest in lex_lines(text, _TOWER_HEADERS):
+        if head is None:
+            if "->" not in rest or current_proj is None:
+                raise ParseError(f"line {lineno}: unrecognized tower line {rest!r}",
+                                 line=lineno)
+            child, _, parent = rest.partition("->")
             child, parent = child.strip(), parent.strip()
             if not child or not parent:
                 raise ParseError(f"line {lineno}: bad projection entry", line=lineno)
             projections[current_proj][child] = parent
             continue
-        raise ParseError(f"line {lineno}: unrecognized tower line {line!r}", line=lineno)
+        keyword, _, arg = head.partition(" ")
+        current_proj = None
+        if keyword == "levels":
+            n_levels = int_field(rest, lineno, "levels: needs an integer")
+        elif keyword == "level":
+            level_sets[int_field(arg, lineno, "bad level header")] = rest.split()
+        elif keyword == "proj":
+            current_proj = int_field(arg, lineno, "bad proj header")
+            projections[current_proj] = {}
+            if rest.strip():
+                raise ParseError(
+                    f"line {lineno}: proj entries go on following lines", line=lineno)
+        elif keyword == "gen":
+            parts = head.split()
+            if len(parts) != 3:
+                raise ParseError(f"line {lineno}: expected 'gen NAME LEVEL:'", line=lineno)
+            m = int_field(parts[2], lineno, "bad gen level")
+            gen_lines.setdefault(parts[1], {})[m] = (rest, lineno)
+        else:
+            shift_lines[int_field(arg, lineno, "bad shift level")] = (rest, lineno)
 
     if n_levels is None:
         raise ParseError("tower file needs a levels: header", line=1)
@@ -574,8 +565,7 @@ def dump_tower(tower):
         for label in level.labels:
             # a projection line starts with its child label; cycles split
             # at ')('
-            if ("->" in label or ")(" in label or label.startswith("levels:")
-                    or label in ("level", "proj", "gen", "shift")):
+            if "->" in label or ")(" in label or (label + " ").startswith(_TOWER_HEADERS):
                 raise LabelMismatchError(
                     f"level-{m} label {label!r} cannot be written in the tower "
                     f"text format: it would read as a header or a separator")

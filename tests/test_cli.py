@@ -299,6 +299,16 @@ def test_mcc_apply_bad_tower_header(capsys, tmp_path, ref):
         "message": f"line 1: unknown tower reference {ref!r} (expected e.g. 'dyadic 3')"}
 
 
+def test_mcc_apply_refuses_an_over_cap_tower(capsys, tmp_path):
+    mat, _ = write_swap_fixtures(tmp_path)
+    win = tmp_path / "deep.txt"
+    win.write_text("tower: dyadic 30\nbasis: x y\ndepth: 1\nxy 1\n")
+    code, rep = run_json(capsys, "mcc", "apply", mat, str(win))
+    assert code == 2
+    assert rep["error"] == {"type": "ParseError",
+                            "message": "line 1: level-14 group exceeds size cap 8192"}
+
+
 def test_missing_subcommand_prints_help(capsys):
     assert main([]) == 2
     assert main(["mcc"]) == 2

@@ -298,3 +298,6 @@ def test_matrix_parse_errors_carry_line_numbers():
     assert e.value.line == 3
     with pytest.raises(ParseError):
         parse_matrix("1 0\n")
+    with pytest.raises(ParseError, match="repeated header 'rows'") as e:
+        parse_matrix("rows: a\ncols: x\n1\n# again\nrows:  b\n")
+    assert e.value.line == 5

@@ -12,8 +12,16 @@ regen = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(regen)
 
 
+def _refuse(obj):
+    raise AssertionError(f"report value {obj!r} is not a plain JSON type")
+
+
 @pytest.mark.parametrize("name", sorted(regen.CASES))
-def test_cli_report_matches_golden(name):
+def test_cli_report_matches_golden(name, monkeypatch):
+    import mcctensor.cli
+
+    # reports hold only plain JSON types: json's fallback never runs
+    monkeypatch.setattr(mcctensor.cli, "_plain", _refuse)
     with open(regen.golden_path(name), encoding="utf-8") as fh:
         golden = fh.read()
     assert regen.render(name) == golden

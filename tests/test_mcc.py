@@ -409,6 +409,9 @@ def test_window_parse_errors():
         parse_window("basis: x y\ndepth: 1\nxz 1\n", tower=TOWER)
     with pytest.raises(ParseError):
         parse_window("basis: x y\ndepth: one\n", tower=TOWER)
+    with pytest.raises(ParseError, match="repeated header 'depth'") as e:
+        parse_window("basis: x y\ndepth: 1\nxy 1\ndepth: 2\n", tower=TOWER)
+    assert e.value.line == 4
 
 
 @pytest.mark.parametrize("ref", ["dyadic x", "dyadic 2 xq"])

@@ -20,6 +20,7 @@ kept here as the oracle, on shared Hypothesis strategies at small sizes.
     apply_mcc                                            tensor_power_finite, apply       pullback_cases  C^X_out <= 64
     box-power diagonals + 2                              staircase_dims on fig8           seed box        P^1, P^2, P^4
     hfk_dimensions, counts from C                        assembled_dimension_totals       seed box        P^1 .. P^8
+    parse_matrix, _window, _graph, _tower: lex_lines     first repeated header line       mutated_texts   one line edit
 
 The towers are the plain solenoid, two parallel solenoids and a parsed
 tower whose level-2 group is dihedral of order 8, so that its kernels are
@@ -34,20 +35,23 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mcctensor.errors import ChainingError, InvarianceError, LabelMismatchError
-from mcctensor.f2cat import (F2Matrix, LabeledSet, apply, invert, rank,
-                             tensor_power_finite, word_label)
+from mcctensor.errors import (ChainingError, InvarianceError, LabelMismatchError,
+                              MccError, ParseError)
+from mcctensor.f2cat import (F2Matrix, LabeledSet, apply, dump_matrix, invert,
+                             parse_matrix, rank, tensor_power_finite, word_label)
 from mcctensor.floer import (RHO_LABELS, UNIT, DABimodule, bimodule_to_dict,
                              box_generators, box_power, box_tensor, cfda_ta,
                              cfda_tb_inv, dumps_bimodule, hfk_dimensions,
                              hochschild_generators, seed_box, torus_algebra,
                              vanishing_certificate, write_bimodule)
-from mcctensor.mcc import MccWindow, apply_mcc
-from mcctensor.solenoidal import (GraphBasis, closed_walk_count_trace, fig8,
-                                  hh0_quotient_dim, staircase_dims, walks_of_length)
-from mcctensor.towers import (act_word, cc_sum, cycles_of, dyadic_solenoid,
-                              invariance_level, invariance_level_table,
-                              kernel_gathers, parse_tower, perm_cycles)
+from mcctensor.mcc import MccWindow, apply_mcc, dump_window, parse_window
+from mcctensor.solenoidal import (GraphBasis, closed_walk_count_trace, dump_graph,
+                                  fig8, hh0_quotient_dim, parse_graph,
+                                  staircase_dims, walks_of_length)
+from mcctensor.towers import (act_word, cc_sum, cycles_of, dump_tower,
+                              dyadic_solenoid, invariance_level,
+                              invariance_level_table, kernel_gathers,
+                              parse_tower, perm_cycles)
 
 DIHEDRAL_TEXT = """\
 levels: 3
@@ -73,6 +77,19 @@ TOWERS = {
     "parsed dihedral": parse_tower(DIHEDRAL_TEXT),
 }
 SCAN_CAP = 512
+
+# format -> (a dumped text, its parser, the header prefixes of its grammar)
+FORMATS = {
+    "matrix": (dump_matrix(F2Matrix.from_rows(["a", "b"], ["x", "y", "z"],
+                                              [[1, 0, 1], [0, 1, 1]])),
+               parse_matrix, ("rows:", "cols:")),
+    "window": (dump_window(MccWindow(dyadic_solenoid(2), ["x", "y"], 2,
+                                     {tuple("xyxy"), tuple("yyxy"), tuple("xxxx")})),
+               parse_window, ("tower:", "basis:", "depth:")),
+    "graph": (dump_graph(fig8()), parse_graph, ("idempotents:",)),
+    "tower": (dump_tower(parse_tower(DIHEDRAL_TEXT)), parse_tower,
+              ("levels:", "level ", "proj ", "gen ", "shift ")),
+}
 
 
 # -- oracles: the enumerations the fast paths replaced ----------------------------
@@ -451,6 +468,43 @@ def mutated_terms(draw):
     return (x, ins, out, y)
 
 
+@st.composite
+def mutated_texts(draw):
+    """A format's dumped text after one line edit: a line duplicated to
+    another place, deleted or swapped with another, or one of its tokens
+    replaced by a token of the same text."""
+    name = draw(st.sampled_from(sorted(FORMATS)))
+    text = FORMATS[name][0]
+    lines = text.splitlines()
+    i, j = (draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+    kind = draw(st.sampled_from(("duplicate", "delete", "swap", "replace")))
+    if kind == "duplicate":
+        lines.insert(j, lines[i])
+    elif kind == "delete":
+        del lines[i]
+    elif kind == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        tokens = lines[i].split()
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(
+            st.sampled_from(sorted(set(text.split()))))
+        lines[i] = " ".join(tokens)
+    return name, "\n".join(lines) + "\n"
+
+
+def first_repeated_header(text, headers):
+    """The line number of the first header line whose head (its text before
+    the first ':', single-spaced) an earlier header line already had."""
+    seen = set()
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line.strip().startswith(headers):
+            head = " ".join(line.partition(":")[0].split())
+            if head in seen:
+                return lineno
+            seen.add(head)
+    return None
+
+
 def outcome(fn, *args):
     try:
         fn(*args)
@@ -685,3 +739,23 @@ def test_hfk_dimensions_match_assembled_powers():
     for max_level in range(4):
         assert [r["total"] for r in hfk_dimensions(max_level)] == \
             totals[:max_level + 1]
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_texts())
+@example(("tower", "levels: 2\nlevel 0: r\nlevel 1: a b\nproj 1:\na -> r\n"
+                   "proj 1:\nb -> r\n"))
+def test_parsers_return_or_refuse_mutated_texts(case):
+    name, text = case
+    _, parse, headers = FORMATS[name]
+    try:
+        parse(text)
+        error = None
+    except MccError as e:
+        error = e
+    repeat = first_repeated_header(text, headers)
+    if repeat is not None:
+        # refused by the repeated line at the latest, and by the repeat
+        # itself unless an earlier line was refused first
+        assert isinstance(error, ParseError) and error.line <= repeat
+        assert ("repeated header" in str(error)) == (error.line == repeat)

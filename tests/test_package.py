@@ -67,8 +67,8 @@ def test_aliases_follow_the_layer(monkeypatch):
     monkeypatch.undo()
     assert mcctensor.apply_mcc is original
     assert mcctensor.cli.apply_mcc is original
-    for name in mcctensor.cli._LAYER_OF:
-        assert callable(getattr(mcctensor.cli, name))
+    for name in EXPORTS - {"__version__"}:
+        assert getattr(mcctensor.cli, name) is getattr(mcctensor, name)
     with pytest.raises(AttributeError, match="no_such_name"):
         getattr(mcctensor.cli, "no_such_name")
 

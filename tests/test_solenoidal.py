@@ -357,6 +357,9 @@ def test_graph_parse_errors():
         parse_graph("idempotents: v\nedge a v zzz\n")
     with pytest.raises(ParseError):
         parse_graph("idempotents: v\nwhat is this\n")
+    with pytest.raises(ParseError, match="repeated header 'idempotents'") as e:
+        parse_graph("idempotents: v\nedge a v v\nidempotents: v w\n")
+    assert e.value.line == 3
 
 
 def test_load_graph(tmp_path):

@@ -1,6 +1,7 @@
 """Dyadic towers: words, kernels, invariance, the conditionally convergent sum."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -173,10 +174,14 @@ def test_validation_rejects_bad_fiber():
 
 def test_validation_rejects_non_commuting_generator():
     # the swap upstairs does not commute with a projection separating 0,1
-    with pytest.raises(TowerValidationError):
-        DyadicTower([["0", "1"], ["0", "1", "2", "3"]],
-                    [{"0": "0", "1": "0", "2": "1", "3": "1"}],
-                    {"s": [{}, {"0": "2", "2": "0"}]})
+    levels = [["0", "1"], ["0", "1", "2", "3"]]
+    proj = [{"0": "0", "1": "0", "2": "1", "3": "1"}]
+    swap = [{}, {"0": "2", "2": "0"}]
+    with pytest.raises(TowerValidationError, match="^generator 's' does not commute"):
+        DyadicTower(levels, proj, {"s": swap})
+    with pytest.raises(TowerValidationError, match="^shift does not commute with the "
+                                                   "projection to level 0 at '0'$"):
+        DyadicTower(levels, proj, {"id": [{}, {}]}, shift=swap)
 
 
 def test_validation_rejects_odd_group():
@@ -260,6 +265,24 @@ def test_tower_parse_errors():
     assert e.value.line == 3  # cycle names an unknown label
     with pytest.raises(ParseError):
         parse_tower("levels: 2\nlevel 0: 0\nlevel 1: 0 1\n")  # missing proj
+    # a second proj block would drop the first block's entries
+    text = "levels: 2\nlevel 0: 0\nlevel 1: 0 1\nproj 1:\n0 -> 0\nproj  1:\n1 -> 0\n"
+    with pytest.raises(ParseError, match="repeated header 'proj 1'") as e:
+        parse_tower(text)
+    assert e.value.line == 6
+    with pytest.raises(ParseError, match="repeated header 'level 0'") as e:
+        parse_tower("levels: 1\nlevel 0: 0\nlevel 0: 1\n")
+    assert e.value.line == 3
+
+
+@pytest.mark.parametrize("max_level, copies, over", [(30, 1, 14), (2, 9999, 1),
+                                                      (14, 1, 14), (4, 4, 4)])
+def test_over_cap_solenoid_is_refused_before_building(max_level, copies, over):
+    t0 = time.monotonic()
+    with pytest.raises(TowerValidationError,
+                       match=f"^level-{over} group exceeds size cap 8192$"):
+        dyadic_solenoid(max_level, copies=copies)
+    assert time.monotonic() - t0 < 0.5
 
 
 def test_tower_from_reference():
