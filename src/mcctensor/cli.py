@@ -190,12 +190,8 @@ def cmd_box(args):
     from .floer import (bimodule_to_dict, box_power, box_tensor, resolve_bimodule,
                         write_bimodule)
 
-    if args.power < 1:
-        raise MccError("power must be >= 1")
-    left = resolve_bimodule(args.left)
-    right = resolve_bimodule(args.right)
-    pair = box_tensor(left, right, name="box")
-    result = box_power(pair, args.power) if args.power > 1 else pair
+    pair = box_tensor(resolve_bimodule(args.left), resolve_bimodule(args.right))
+    result = box_power(pair, args.power)
     artifacts = []
     report = {"command": "box", "left": args.left, "right": args.right,
               "power": args.power,
@@ -217,11 +213,7 @@ def cmd_hh(args):
     from .floer import (box_power, hochschild_generators, resolve_bimodule,
                         vanishing_certificate)
 
-    if args.power < 1:
-        raise MccError("power must be >= 1")
-    p = resolve_bimodule(args.bimodule)
-    if args.power > 1:
-        p = box_power(p, args.power)
+    p = box_power(resolve_bimodule(args.bimodule), args.power)
     gens = hochschild_generators(p)
     result = {"diagonal_generators": sorted(gens), "count": len(gens)}
 

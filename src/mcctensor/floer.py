@@ -24,6 +24,7 @@ live here too.
 from __future__ import annotations
 
 import json
+from graphlib import CycleError, TopologicalSorter
 
 from .errors import (CertificateError, ChainingError, CrossCheckError,
                      LabelMismatchError, MccError, SizeCapError,
@@ -145,9 +146,8 @@ class DABimodule:
     `sorted_terms` holds the reduced terms in sorted order, sorted once here.
     """
 
-    def __init__(self, algebra, generators, terms, name=None):
+    def __init__(self, algebra, generators, terms):
         self.algebra = algebra
-        self.name = name
         gens = []
         for (gname, left, right) in generators:
             if left not in ("i0", "i1") or right not in ("i1", "i0"):
@@ -219,37 +219,20 @@ class DABimodule:
         for (x, inputs, output, y) in self.sorted_terms:
             if not inputs:
                 adj.setdefault(x, []).append(y)
-        # depth-first, with the path and its pending successors on explicit
-        # stacks so that long zero-input chains need no recursion
-        state = {}
-        for root in sorted(adj):
-            if root in state:
-                continue
-            state[root] = 1
-            path, pending = [root], [iter(adj[root])]
-            while pending:
-                for nxt in pending[-1]:
-                    if state.get(nxt) == 1:
-                        cycle = path[path.index(nxt):] + [nxt]
-                        raise ZeroInputCycleError(
-                            f"zero-input terms form a cycle: {' -> '.join(cycle)}",
-                            cycle=cycle)
-                    if nxt not in state:
-                        state[nxt] = 1
-                        path.append(nxt)
-                        pending.append(iter(adj.get(nxt, ())))
-                        break
-                else:
-                    state[path.pop()] = 2
-                    pending.pop()
+        try:
+            TopologicalSorter(adj).prepare()
+        except CycleError as e:
+            # graphlib reads each list as predecessors, so its cycle runs
+            # against the terms
+            cycle = e.args[1][::-1]
+            raise ZeroInputCycleError(
+                f"zero-input terms form a cycle: {' -> '.join(cycle)}",
+                cycle=cycle) from None
 
     # -- operations -------------------------------------------------------------
 
     def terms_from(self, x):
         return self._by_source.get(x, [])
-
-    def gen_names(self):
-        return [g for (g, _, _) in self.generators]
 
     def __eq__(self, other):
         return (isinstance(other, DABimodule)
@@ -260,9 +243,7 @@ class DABimodule:
         return hash((self.generators, self.terms))
 
     def __repr__(self):
-        nm = f" {self.name!r}" if self.name else ""
-        return (f"DABimodule{nm}({len(self.generators)} generators, "
-                f"{len(self.terms)} terms)")
+        return f"DABimodule({len(self.generators)} generators, {len(self.terms)} terms)"
 
 
 def _chains_with_outputs(terms_from, start, outputs):
@@ -312,30 +293,23 @@ def _refuse_over_cap(counts):
                            f"cap {BOX_GENERATOR_CAP}")
 
 
-def box_tensor(m, n, name=None):
-    """The box tensor product M box N of type-DA bimodules.
-
-    Generators are pairs with matching middle idempotents.  Each M-term with
-    inputs (a_1..a_k) combines with every N-chain spelling that output word;
-    the unital element additionally forwards N-terms outputting "1" at a
-    frozen M-generator.  Coefficients cancel in pairs over F2.  A product of
-    more than BOX_GENERATOR_CAP generators, counted from C(M) C(N) before
-    any pair is formed, raises SizeCapError.
-    """
-    if m.algebra is not n.algebra:
-        raise LabelMismatchError("box tensor needs one algebra")
-    _refuse_over_cap(_count_product(idempotent_counts(m.generators),
-                                    idempotent_counts(n.generators)))
-    gens = box_generators(m.generators, n.generators)
-    terms = []
+def _box_lift(m_gens, m_terms_from, n_gens, n_terms_from):
+    """The generators and raw terms (with multiplicity) of a box product,
+    from each factor's generators and terms-from lookup.  Each left term
+    with inputs (a_1..a_k) combines with every right chain spelling that
+    output word; the unital element additionally forwards right terms
+    outputting "1" at a frozen left generator.  Pairs run left generator,
+    then right generator, then the left generator's terms."""
+    gens = box_generators(m_gens, n_gens)
     gen_names = {g for (g, _, _) in gens}
-    for (xn, xl, xr) in m.generators:
-        for (yn, yl, yr) in n.generators:
-            if xr != yl:
-                continue
+    right_of = {l: [yn for (yn, yl, _) in n_gens if yl == l] for l in ("i0", "i1")}
+    terms = []
+    for (xn, _, xr) in m_gens:
+        left_terms = m_terms_from(xn)
+        for yn in right_of[xr]:
             src = xn + "|" + yn
-            for (x1, a_word, b_out, x2) in m.terms_from(xn):
-                for consumed, y_end in _chains_with_outputs(n.terms_from, yn, a_word):
+            for (x1, a_word, b_out, x2) in left_terms:
+                for consumed, y_end in _chains_with_outputs(n_terms_from, yn, a_word):
                     tgt = x2 + "|" + y_end
                     if tgt not in gen_names:
                         raise CrossCheckError(
@@ -344,10 +318,23 @@ def box_tensor(m, n, name=None):
                                     "left_term": [x1, list(a_word), b_out, x2],
                                     "inputs": list(consumed)})
                     terms.append((src, consumed, b_out, tgt))
-            for (y1, ins, out, y2) in n.terms_from(yn):
+            for (y1, ins, out, y2) in n_terms_from(yn):
                 if out == UNIT:
                     terms.append((src, ins, UNIT, xn + "|" + y2))
-    return DABimodule(m.algebra, gens, terms, name=name)
+    return gens, terms
+
+
+def box_tensor(m, n):
+    """The box tensor product M box N of type-DA bimodules: _box_lift's terms
+    cancelled in pairs over F2.  A product of more than BOX_GENERATOR_CAP
+    generators, counted from C(M) C(N) before any pair is formed, raises
+    SizeCapError."""
+    if m.algebra is not n.algebra:
+        raise LabelMismatchError("box tensor needs one algebra")
+    _refuse_over_cap(_count_product(idempotent_counts(m.generators),
+                                    idempotent_counts(n.generators)))
+    gens, terms = _box_lift(m.generators, m.terms_from, n.generators, n.terms_from)
+    return DABimodule(m.algebra, gens, terms)
 
 
 def box_power(p, k):
@@ -366,13 +353,11 @@ def box_power(p, k):
         if digit == "1":
             c = _count_product(c, base)
             _refuse_over_cap(c)
-    out, e = p, 1
+    out = p
     for digit in digits:
-        e *= 2
-        out = box_tensor(out, out, name=f"{p.name or 'P'}^{e}")
+        out = box_tensor(out, out)
         if digit == "1":
-            e += 1
-            out = box_tensor(out, p, name=f"{p.name or 'P'}^{e}")
+            out = box_tensor(out, p)
     return out
 
 
@@ -400,7 +385,7 @@ def cfda_tb_inv():
         ("r", ("r3",), "r23", "q"),
         ("r", ("r3", "r2"), "r2", "p"),
     ]
-    return DABimodule(alg, gens, terms, name="tb_inv")
+    return DABimodule(alg, gens, terms)
 
 
 def cfda_ta():
@@ -419,12 +404,12 @@ def cfda_ta():
         ("h", (), "r1", "g"),
         ("h", ("r23",), "r3", "g"),
     ]
-    return DABimodule(alg, gens, terms, name="ta")
+    return DABimodule(alg, gens, terms)
 
 
 def seed_box():
     """The seed box product (5 generators, 21 terms)."""
-    return box_tensor(cfda_tb_inv(), cfda_ta(), name="box")
+    return box_tensor(cfda_tb_inv(), cfda_ta())
 
 
 # -- vanishing certificate -----------------------------------------------------------
@@ -523,7 +508,7 @@ def vanishing_certificate(p):
 DERIVED_WORK_CAP = 1 << 17
 
 
-def derived_power_certificate(base, doublings, base_cert=None):
+def derived_power_certificate(base, doublings):
     """Certificate for the 2^doublings-fold box power of `base`, derived by
     structural induction instead of assembling the power's term table (which
     grows into millions of long-word terms past the 4-fold power).
@@ -557,17 +542,20 @@ def derived_power_certificate(base, doublings, base_cert=None):
     doubling the next generator count is read off C (C(P box P) = C(P)^2);
     if it or the current sub-table size passes DERIVED_WORK_CAP the exact
     iteration stops and the reported fixpoint falls back to the (still
-    sound) bound E, with fixpoint_is_exact set to False.  `base_cert` is
-    the base's vanishing certificate when the caller has already computed
-    it.
+    sound) bound E, with fixpoint_is_exact set to False.  A refused base
+    certificate raises CertificateError naming the failed property and its
+    witness.
     """
     if doublings < 0:
         raise MccError("doublings must be >= 0")
-    cert = base_cert if base_cert is not None else vanishing_certificate(base)
+    cert = vanishing_certificate(base)
     if not cert["granted"]:
+        bad = next((c for c in cert["checks"] if not c["ok"]), None)
+        detail = (f"{bad['name']} fails on {bad['witness']}" if bad else
+                  f"fixpoint {cert['fixpoint']} meets forbidden labels")
         raise CertificateError(
-            "cannot derive a power certificate: the base certificate is refused",
-            report=cert)
+            f"cannot derive a power certificate: the base certificate is "
+            f"refused: {detail}", report=cert)
     alg = base.algebra
     closure = frozenset(cert["extended_fixpoint"])
     bad = next((t for t in base.sorted_terms if not t[1] and t[2] == UNIT), None)
@@ -585,7 +573,7 @@ def derived_power_certificate(base, doublings, base_cert=None):
             report=cert)
 
     # square the closure-input-only sub-table through the doublings
-    gens = list(base.generators)
+    gens = base.generators
     counts = idempotent_counts(gens)
     table = {t for t in base.terms if closure.issuperset(t[1])}
     fix_by_doubling = [sorted(cert["fixpoint"])]
@@ -594,21 +582,15 @@ def derived_power_certificate(base, doublings, base_cert=None):
         counts = _count_product(counts, counts)
         if sum(map(sum, counts)) > DERIVED_WORK_CAP or len(table) > DERIVED_WORK_CAP:
             break
-        by_src = {}
+        by_src = {g: [] for (g, _, _) in gens}
         for t in table:
-            by_src.setdefault(t[0], []).append(t)
-        right_of = {l: [] for l in ("i0", "i1")}
-        for (yn, yl, yr) in gens:
-            right_of[yl].append(yn)
-        idem = {g: (l, r) for (g, l, r) in gens}
-        bag = set()
-        for (x, a_word, b, x2) in table:
-            for yn in right_of[idem[x][1]]:
-                chains = _chains_with_outputs(lambda y: by_src.get(y, ()), yn, a_word)
-                for consumed, y_end in chains:
-                    bag ^= {(x + "|" + yn, consumed, b, x2 + "|" + y_end)}
-        gens = box_generators(gens, gens)
-        table = bag
+            by_src[t[0]].append(t)
+        # the premise refusals keep every unit-output term out of the
+        # sub-table, so the lift forwards no unit here
+        gens, raw = _box_lift(gens, by_src.__getitem__, gens, by_src.__getitem__)
+        table = set()
+        for t in raw:
+            table ^= {t}
         zero_out = {t[2] for t in table if not t[1]}
         fix_by_doubling.append(sorted(_close_products(alg, zero_out)))
         exact_through = step + 1
@@ -645,25 +627,16 @@ def hfk_dimensions(max_level, seed=None, cross_check=True):
     """Dimension rows for the 2^m-fold box powers, m = 0..max_level, with no
     power assembled.
 
-    The seed's vanishing certificate is computed directly (refusal raises
-    CertificateError naming the failed property and offending term) and
-    handed to one structural induction, derived_power_certificate, which
-    certifies every deeper power.  The middle count is the number of
-    diagonal generators, trace(C^(2^m)) for the seed's idempotent-count
-    matrix C, and the closed form adds one dimension on each side.  With
-    cross_check=True every total is compared against the level-m solenoidal
-    staircase dimension, an independent computation path.
+    One structural induction, derived_power_certificate, certifies the seed
+    directly and every deeper power; a refused seed raises CertificateError
+    naming the failed property and offending term.  The middle count is the
+    number of diagonal generators, trace(C^(2^m)) for the seed's
+    idempotent-count matrix C, and the closed form adds one dimension on each
+    side.  With cross_check=True every total is compared against the level-m
+    solenoidal staircase dimension, an independent computation path.
     """
     base = seed if seed is not None else seed_box()
-    cert = vanishing_certificate(base)
-    if not cert["granted"]:
-        bad = next((c for c in cert["checks"] if not c["ok"]), None)
-        detail = (f"{bad['name']} fails on {bad['witness']}" if bad else
-                  f"fixpoint {cert['fixpoint']} meets forbidden labels")
-        raise CertificateError(
-            f"vanishing certificate refused for the 1-fold power: {detail}",
-            report=cert)
-    derived_power_certificate(base, max_level, base_cert=cert)
+    derived_power_certificate(base, max_level)
     counts = idempotent_counts(base.generators)
     rows = []
     for m in range(max_level + 1):
@@ -712,7 +685,7 @@ def _json_value(value, kind, field):
     return value
 
 
-def bimodule_from_dict(d, name=None):
+def bimodule_from_dict(d):
     """The bimodule of a parsed JSON document; a document of the wrong
     shape raises MccError naming the first bad field."""
     _json_value(d, dict, "the top level")
@@ -731,7 +704,7 @@ def bimodule_from_dict(d, name=None):
         ins = _json_value(t.get("inputs"), list, f"terms[{i}].inputs")
         terms.append((x, tuple(_json_value(a, str, f"terms[{i}].inputs[{j}]")
                                for j, a in enumerate(ins)), out, y))
-    return DABimodule(torus_algebra(), gens, terms, name=name)
+    return DABimodule(torus_algebra(), gens, terms)
 
 
 # stored inputs are chords and stored outputs chords or the unit
@@ -776,7 +749,7 @@ def write_bimodule(p, fh):
 
 def load_bimodule(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return bimodule_from_dict(json.load(fh), name=str(path))
+        return bimodule_from_dict(json.load(fh))
 
 
 def golden_box_text():

@@ -347,6 +347,11 @@ def dyadic_solenoid(max_level, copies=1):
     over = -(-GROUP_SIZE_CAP.bit_length() // copies)
     if max_level >= over:
         raise TowerValidationError(f"level-{over} group exceeds size cap {GROUP_SIZE_CAP}")
+    # the top-level generator tables hold copies * (copies * 2^max_level) entries
+    entries = copies * copies << max_level
+    if entries > GROUP_SIZE_CAP:
+        raise TowerValidationError(f"{copies} copies at level {max_level} need {entries} "
+                                   f"generator-table entries, over the size cap {GROUP_SIZE_CAP}")
     tags = [chr(ord("a") + c) for c in range(copies)] if copies > 1 else [""]
 
     def lab(tag, i):
@@ -511,7 +516,11 @@ def parse_tower(text, name=None):
             child, parent = child.strip(), parent.strip()
             if not child or not parent:
                 raise ParseError(f"line {lineno}: bad projection entry", line=lineno)
-            projections[current_proj][child] = parent
+            block = projections[current_proj]
+            if child in block:
+                raise ParseError(f"line {lineno}: child {child!r} is already projected "
+                                 f"on line {block[child][1]}", line=lineno)
+            block[child] = (parent, lineno)
             continue
         keyword, _, arg = head.partition(" ")
         current_proj = None
@@ -544,7 +553,7 @@ def parse_tower(text, name=None):
     for m in range(1, n_levels):
         if m not in projections:
             raise ParseError(f"missing proj {m}: block", line=1)
-        projs.append(projections[m])
+        projs.append({child: parent for child, (parent, _) in projections[m].items()})
 
     def per_level(lines):
         return [parse_cycles(lines[m][0], sets[m], lineno=lines[m][1])

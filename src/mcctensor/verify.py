@@ -160,7 +160,7 @@ def _check_box_golden():
     """The computed seed box product must match the shipped table byte for
     byte in canonical JSON form."""
     computed = floer.dumps_bimodule(floer.box_tensor(
-        floer.resolve_bimodule("tb_inv"), floer.resolve_bimodule("ta"), name="box"))
+        floer.resolve_bimodule("tb_inv"), floer.resolve_bimodule("ta")))
     golden = floer.golden_box_text()
     if computed != golden:
         return {"witness": {"error": "computed box table differs from the "

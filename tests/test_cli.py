@@ -309,6 +309,18 @@ def test_mcc_apply_refuses_an_over_cap_tower(capsys, tmp_path):
                             "message": "line 1: level-14 group exceeds size cap 8192"}
 
 
+def test_mcc_apply_refuses_a_many_copy_tower(capsys, tmp_path):
+    mat, _ = write_swap_fixtures(tmp_path)
+    win = tmp_path / "wide.txt"
+    win.write_text("tower: dyadic 0 x9999\nbasis: x y\ndepth: 1\nxy 1\n")
+    code, rep = run_json(capsys, "mcc", "apply", mat, str(win))
+    assert code == 2
+    assert rep["error"] == {
+        "type": "ParseError",
+        "message": "line 1: 9999 copies at level 0 need 99980001 generator-table "
+                   "entries, over the size cap 8192"}
+
+
 def test_missing_subcommand_prints_help(capsys):
     assert main([]) == 2
     assert main(["mcc"]) == 2

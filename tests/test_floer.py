@@ -135,8 +135,8 @@ def test_bimodule_long_zero_input_cycle_rejected():
 def test_seed_bimodule_shapes():
     tb = cfda_tb_inv()
     ta = cfda_ta()
-    assert tb.gen_names() == ["p", "q", "r"]
-    assert ta.gen_names() == ["f", "g", "h"]
+    assert [g for (g, _, _) in tb.generators] == ["p", "q", "r"]
+    assert [g for (g, _, _) in ta.generators] == ["f", "g", "h"]
     assert len(tb.terms) == 10 and len(ta.terms) == 10
     assert tb.terms_from("p")[0] == ("p", (), "r3", "r")
     assert ta.terms_from("h") == [("h", (), "r1", "g"), ("h", ("r2",), "1", "f"),
@@ -273,7 +273,7 @@ def test_vanishing_certificate_refuses_mutated_box():
     box = seed_box()
     extra = ("q|g", ("r23",), "r2", "p|h")
     mutated = DABimodule(ALG, box.generators,
-                         list(box.terms) + [extra], name="mutated")
+                         list(box.terms) + [extra])
     cert = vanishing_certificate(mutated)
     assert cert["granted"] is False
     p1 = cert["checks"][0]
@@ -344,6 +344,12 @@ def test_derived_certificate_refuses_bad_base():
     assert e.value.report["granted"] is False
 
 
+def test_derived_certificate_refusal_names_the_failed_property():
+    with pytest.raises(CertificateError, match=r"refused: P1-r2-output-needs-r2-input "
+                                               r"fails on \['a', \(\), 'r2', 'b'\]$"):
+        derived_power_certificate(p1_violating_bimodule(), 1)
+
+
 def test_hfk_dimension_rows():
     rows = hfk_dimensions(3)
     assert [(r["lower"], r["middle"], r["upper"], r["total"]) for r in rows] == \
@@ -393,7 +399,7 @@ def test_hfk_dimensions_refuse_mutated_seed():
     box = seed_box()
     extra = ("q|g", ("r23",), "r2", "p|h")
     mutated = DABimodule(ALG, box.generators,
-                         list(box.terms) + [extra], name="mutated")
+                         list(box.terms) + [extra])
     with pytest.raises(CertificateError) as e:
         hfk_dimensions(1, seed=mutated)
     assert "P1" in str(e.value)
@@ -421,31 +427,35 @@ def forced_grant(p):
     return dict(vanishing_certificate(p), granted=True)
 
 
-def test_derived_certificate_refuses_zero_input_unit_term():
+def test_derived_certificate_refuses_zero_input_unit_term(monkeypatch):
     base = make([("a", "i0", "i0"), ("b", "i0", "i0")],
                 [("a", (), "1", "b")])
+    cert = forced_grant(base)
+    monkeypatch.setattr(floer_module, "vanishing_certificate", lambda p: cert)
     with pytest.raises(CertificateError, match="zero-input term"):
-        derived_power_certificate(base, 1, base_cert=forced_grant(base))
+        derived_power_certificate(base, 1)
 
 
-def test_derived_certificate_refuses_closure_fed_unit_term():
+def test_derived_certificate_refuses_closure_fed_unit_term(monkeypatch):
     base = make([("a", "i0", "i0"), ("b", "i0", "i0"), ("c", "i0", "i0")],
                 [("a", (), "r12", "b"), ("b", ("r12",), "1", "c")])
     cert = forced_grant(base)
     assert "r12" in cert["extended_fixpoint"]
+    monkeypatch.setattr(floer_module, "vanishing_certificate", lambda p: cert)
     with pytest.raises(CertificateError, match="feedable entirely") as e:
-        derived_power_certificate(base, 1, base_cert=cert)
+        derived_power_certificate(base, 1)
     assert "('b', ('r12',), '1', 'c')" in str(e.value)
 
 
-def test_derived_certificate_granted_reads_the_closure():
-    # a caller's granted certificate whose extended fixpoint meets the
+def test_derived_certificate_granted_reads_the_closure(monkeypatch):
+    # a granted base certificate whose extended fixpoint meets the
     # forbidden labels: `granted` is not a constant, it follows the closure
     box = seed_box()
     cert = vanishing_certificate(box)
     assert cert["granted"] is True
     widened = dict(cert, extended_fixpoint=sorted(cert["extended_fixpoint"] + ["i0"]))
-    out = derived_power_certificate(box, 1, base_cert=widened)
+    monkeypatch.setattr(floer_module, "vanishing_certificate", lambda p: widened)
+    out = derived_power_certificate(box, 1)
     assert out["granted"] is False
     assert "i0" in out["extended_fixpoint"] and out["fixpoint_is_exact"] is True
 

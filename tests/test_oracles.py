@@ -13,6 +13,7 @@ kept here as the oracle, on shared Hypothesis strategies at small sizes.
     kernel_generators                                    closure equals kernel            TOWERS          every (m, h)
     dumps_bimodule, write_bimodule: one piece generator  json.dumps(indent=2, sort_keys)  renamed_boxes   P^1, P^2, P^4
     DABimodule term validation, tables                   per_letter_validate              mutated_terms   seed box terms
+    DABimodule zero-input cycle search, graphlib         dfs_zero_input_cycle             zero_input_sets 8 generators
     rank, invert: one Gauss-Jordan                       loop_rank, loop_invert           square_cases    8 x 8
     perm_cycles, cycles_of                               loop_orbits, loop_cycles_of      permutations    16 points
     walks_of_length                                      hh0_quotient_dim, listed_walks   graphs          length 4
@@ -36,7 +37,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mcctensor.errors import (ChainingError, InvarianceError, LabelMismatchError,
-                              MccError, ParseError)
+                              MccError, ParseError, ZeroInputCycleError)
 from mcctensor.f2cat import (F2Matrix, LabeledSet, apply, dump_matrix, invert,
                              parse_matrix, rank, tensor_power_finite, word_label)
 from mcctensor.floer import (RHO_LABELS, UNIT, DABimodule, bimodule_to_dict,
@@ -209,6 +210,35 @@ def per_letter_validate(p, term):
         raise ChainingError(
             f"term {term}: generator {y!r} has right idempotent {ry!r}, "
             f"the inputs end at {chain!r}")
+
+
+def dfs_zero_input_cycle(terms):
+    """The first cycle of zero-input terms found depth-first from the least
+    source, with the path and its pending successors on explicit stacks;
+    None when there is no cycle."""
+    adj = {}
+    for (x, inputs, output, y) in sorted(terms):
+        if not inputs:
+            adj.setdefault(x, []).append(y)
+    state = {}
+    for root in sorted(adj):
+        if root in state:
+            continue
+        state[root] = 1
+        path, pending = [root], [iter(adj[root])]
+        while pending:
+            for nxt in pending[-1]:
+                if state.get(nxt) == 1:
+                    return path[path.index(nxt):] + [nxt]
+                if nxt not in state:
+                    state[nxt] = 1
+                    path.append(nxt)
+                    pending.append(iter(adj.get(nxt, ())))
+                    break
+            else:
+                state[path.pop()] = 2
+                pending.pop()
+    return None
 
 
 def loop_invert(m):
@@ -434,7 +464,7 @@ NAME_CHARS = st.sampled_from(['"', "\\", "\n", "\t", "é", "∂", "\U0001d53d", 
 @st.composite
 def renamed_boxes(draw):
     """The seed box product with every generator renamed."""
-    old = SEED_BOX.gen_names()
+    old = [g for (g, _, _) in SEED_BOX.generators]
     new = draw(st.lists(st.text(NAME_CHARS, min_size=1, max_size=4),
                         min_size=len(old), max_size=len(old), unique=True))
     name = dict(zip(old, new))
@@ -452,7 +482,7 @@ def mutated_terms(draw):
     """A seed box term with one field replaced, one input letter replaced,
     inserted or dropped, or left as it is."""
     x, ins, out, y = draw(st.sampled_from(SEED_BOX.sorted_terms))
-    names = SEED_BOX.gen_names() + ["zz"]
+    names = [g for (g, _, _) in SEED_BOX.generators] + ["zz"]
     kind = draw(st.sampled_from(("x", "y", "output", "letter", "insert", "drop", "none")))
     if kind == "x":
         x = draw(st.sampled_from(names))
@@ -466,6 +496,17 @@ def mutated_terms(draw):
         rest = ins[k + 1:] if kind != "insert" else ins[k:]
         ins = ins[:k] + ((a,) if kind != "drop" else ()) + rest
     return (x, ins, out, y)
+
+
+@st.composite
+def zero_input_sets(draw):
+    """Generators g0..g(n-1), n <= 8, all at (i0, i0), and distinct terms
+    between them, each with no input or with the input r12."""
+    names = [f"g{i}" for i in range(draw(st.integers(1, 8)))]
+    edges = draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names),
+                                    st.booleans()), unique=True, max_size=16))
+    return ([(g, "i0", "i0") for g in names],
+            [(x, ("r12",) if fed else (), "r12", y) for (x, y, fed) in edges])
 
 
 @st.composite
@@ -680,6 +721,26 @@ def test_dumps_bimodule_escapes_like_json_dumps(p):
 def test_term_validation_matches_per_letter_loop(term):
     assert outcome(SEED_BOX._validate_term, term) == \
         outcome(per_letter_validate, SEED_BOX, term)
+
+
+@settings(max_examples=400, deadline=None)
+@given(zero_input_sets())
+def test_zero_input_cycle_search_matches_the_dfs(case):
+    gens, terms = case
+    expected = dfs_zero_input_cycle(terms)
+    try:
+        DABimodule(torus_algebra(), gens, terms)
+    except ZeroInputCycleError as e:
+        cycle = e.cycle
+        assert str(e) == f"zero-input terms form a cycle: {' -> '.join(cycle)}"
+    else:
+        cycle = None
+    assert (cycle is None) == (expected is None)
+    if cycle is not None:
+        # any genuine cycle will do: the two searches may meet different ones
+        edges = {(x, y) for (x, ins, _, y) in terms if not ins}
+        assert len(cycle) >= 2 and cycle[0] == cycle[-1]
+        assert all(pair in edges for pair in zip(cycle, cycle[1:]))
 
 
 @settings(max_examples=300, deadline=None)

@@ -273,6 +273,13 @@ def test_tower_parse_errors():
     with pytest.raises(ParseError, match="repeated header 'level 0'") as e:
         parse_tower("levels: 1\nlevel 0: 0\nlevel 0: 1\n")
     assert e.value.line == 3
+    # a child listed twice would keep only its last parent, so two texts
+    # would alias one tower
+    text = ("levels: 2\nlevel 0: r s\nlevel 1: a b c d\nproj 1:\n"
+            "a -> r\nb -> r\nc -> s\nd -> s\na -> s\nb -> s\nc -> r\nd -> r\n")
+    with pytest.raises(ParseError, match="child 'a' is already projected on line 5") as e:
+        parse_tower(text)
+    assert e.value.line == 9
 
 
 @pytest.mark.parametrize("max_level, copies, over", [(30, 1, 14), (2, 9999, 1),
@@ -283,6 +290,29 @@ def test_over_cap_solenoid_is_refused_before_building(max_level, copies, over):
                        match=f"^level-{over} group exceeds size cap 8192$"):
         dyadic_solenoid(max_level, copies=copies)
     assert time.monotonic() - t0 < 0.5
+
+
+@pytest.mark.parametrize("copies", [9999, 91])
+def test_many_copy_solenoid_is_refused_before_building(copies):
+    # the level-0 group is trivial, but the generator tables are not
+    t0 = time.monotonic()
+    with pytest.raises(TowerValidationError,
+                       match=f"^{copies} copies at level 0 need {copies * copies} "
+                             f"generator-table entries, over the size cap 8192$"):
+        dyadic_solenoid(0, copies=copies)
+    assert time.monotonic() - t0 < 0.5
+
+
+def test_ninety_copy_solenoid_still_builds():
+    tower = dyadic_solenoid(0, copies=90)
+    assert tower.size(0) == 90 and len(tower.gen_names) == 90
+
+
+def test_level_thirteen_solenoid_sits_on_the_table_cap(monkeypatch):
+    # one copy at level 13 has exactly GROUP_SIZE_CAP table entries and is
+    # not refused; the stub skips listing its 8192-element group
+    monkeypatch.setattr("mcctensor.towers.DyadicTower", lambda *args, **kwargs: "built")
+    assert dyadic_solenoid(13) == "built"
 
 
 def test_tower_from_reference():
