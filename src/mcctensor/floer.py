@@ -143,7 +143,8 @@ class DABimodule:
     in {i0, i1}.  terms: iterable of (x, inputs, output, y); duplicate terms
     cancel in pairs (coefficients live in F2).  Idempotent chaining along
     every term and acyclicity of the zero-input terms are validated.
-    `sorted_terms` holds the reduced terms in sorted order, sorted once here.
+    `generators` and `sorted_terms` are sorted once here, so that the order
+    the generators come in never tells two bimodules apart.
     """
 
     def __init__(self, algebra, generators, terms):
@@ -158,7 +159,7 @@ class DABimodule:
         names = [g[0] for g in gens]
         if len(set(names)) != len(names):
             raise LabelMismatchError("duplicate generator names")
-        self.generators = tuple(gens)
+        self.generators = tuple(sorted(gens))
         self.idem = {g: (l, r) for (g, l, r) in gens}
 
         bag = set()
@@ -414,20 +415,18 @@ def seed_box():
 
 # -- vanishing certificate -----------------------------------------------------------
 
-def _close_products(alg, labels):
-    """Close a label set under nonzero algebra products."""
+def _closure(alg, labels, feeds=()):
+    """The least label set holding `labels`, closed under nonzero algebra
+    products and under each (inputs, output) feed whose inputs lie inside."""
     labels = set(labels)
-    grew = True
-    while grew:
-        grew = False
-        pool = [l for l in sorted(labels) if l in alg._idem]
-        for a in pool:
-            for b in pool:
-                c = alg.mult(a, b)
-                if c is not None and c not in labels:
-                    labels.add(c)
-                    grew = True
-    return labels
+    while True:
+        pool = [a for a in labels if a in alg._idem]
+        new = {alg.mult(a, b) for a in pool for b in pool}
+        new.update(out for ins, out in feeds if labels.issuperset(ins))
+        new.discard(None)
+        if new <= labels:
+            return labels
+        labels |= new
 
 
 def vanishing_certificate(p):
@@ -474,23 +473,11 @@ def vanishing_certificate(p):
               for name, w in witnesses]
 
     # spontaneous closure: zero-input outputs, closed under nonzero products
-    fix = _close_products(alg, {t[2] for t in p.terms if not t[1]})
+    fix = _closure(alg, {t[2] for t in p.terms if not t[1]})
 
     # extended closure: also feed terms whose inputs all lie inside; terms
     # with equal input letters and output feed alike
-    feeds = {(frozenset(t[1]), t[2]) for t in p.terms if t[1]}
-    ext = set(fix)
-    grew = True
-    while grew:
-        grew = False
-        for ins, out in feeds:
-            if out not in ext and ext.issuperset(ins):
-                ext.add(out)
-                grew = True
-        new = _close_products(alg, ext)
-        if new != ext:
-            ext = new
-            grew = True
+    ext = _closure(alg, fix, {(frozenset(t[1]), t[2]) for t in p.terms if t[1]})
 
     granted = (all(c["ok"] for c in checks)
                and not (fix & forbidden) and not (ext & forbidden))
@@ -577,8 +564,7 @@ def derived_power_certificate(base, doublings):
     counts = idempotent_counts(gens)
     table = {t for t in base.terms if closure.issuperset(t[1])}
     fix_by_doubling = [sorted(cert["fixpoint"])]
-    exact_through = 0
-    for step in range(doublings):
+    for _ in range(doublings):
         counts = _count_product(counts, counts)
         if sum(map(sum, counts)) > DERIVED_WORK_CAP or len(table) > DERIVED_WORK_CAP:
             break
@@ -592,10 +578,9 @@ def derived_power_certificate(base, doublings):
         for t in raw:
             table ^= {t}
         zero_out = {t[2] for t in table if not t[1]}
-        fix_by_doubling.append(sorted(_close_products(alg, zero_out)))
-        exact_through = step + 1
+        fix_by_doubling.append(sorted(_closure(alg, zero_out)))
 
-    exact = exact_through == doublings
+    exact = len(fix_by_doubling) - 1 == doublings
     fix = set(fix_by_doubling[-1]) if exact else set(closure)
     if not fix <= closure:
         raise CrossCheckError(
@@ -623,9 +608,9 @@ def derived_power_certificate(base, doublings):
     }
 
 
-def hfk_dimensions(max_level, seed=None, cross_check=True):
-    """Dimension rows for the 2^m-fold box powers, m = 0..max_level, with no
-    power assembled.
+def hfk_dimensions(max_level, cross_check=True):
+    """Dimension rows for the 2^m-fold box powers of seed_box(), m = 0..max_level,
+    with no power assembled.
 
     One structural induction, derived_power_certificate, certifies the seed
     directly and every deeper power; a refused seed raises CertificateError
@@ -635,7 +620,7 @@ def hfk_dimensions(max_level, seed=None, cross_check=True):
     side.  With cross_check=True every total is compared against the level-m
     solenoidal staircase dimension, an independent computation path.
     """
-    base = seed if seed is not None else seed_box()
+    base = seed_box()
     derived_power_certificate(base, max_level)
     counts = idempotent_counts(base.generators)
     rows = []
@@ -666,7 +651,7 @@ def bimodule_to_dict(p):
     return {
         "algebra": "torus",
         "generators": [{"name": g, "left": l, "right": r}
-                       for (g, l, r) in sorted(p.generators)],
+                       for (g, l, r) in p.generators],
         "terms": [{"x": x, "inputs": list(ins), "output": out, "y": y}
                   for (x, ins, out, y) in p.sorted_terms],
     }
@@ -717,7 +702,7 @@ def _bimodule_pieces(p):
     name = {g: json.dumps(g) for (g, _, _) in p.generators}
     yield '{\n  "algebra": "torus",\n  "generators": ['
     sep = "\n    "
-    for (g, l, r) in sorted(p.generators):
+    for (g, l, r) in p.generators:
         yield (f'{sep}{{\n      "left": {json.dumps(l)},\n'
                f'      "name": {name[g]},\n'
                f'      "right": {json.dumps(r)}\n    }}')

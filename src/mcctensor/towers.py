@@ -500,7 +500,7 @@ def cycles_of(perm, labels):
 _TOWER_HEADERS = ("levels:", "level ", "proj ", "gen ", "shift ")
 
 
-def parse_tower(text, name=None):
+def parse_tower(text):
     n_levels = None
     level_sets = {}
     projections = {}
@@ -563,7 +563,7 @@ def parse_tower(text, name=None):
     if not generators:
         generators = {"id": [{} for _ in range(n_levels)]}
     shift = per_level(shift_lines) if shift_lines else None
-    return DyadicTower(sets, projs, generators, shift=shift, name=name)
+    return DyadicTower(sets, projs, generators, shift=shift)
 
 
 def dump_tower(tower):

@@ -1,8 +1,8 @@
 """The randomized and golden checks of `mcctensor verify`.
 
 `run` adds six named checks to the command's suite; the certificate and
-dimension-bridge checks that follow them live in `cli`, because `dims` and
-`hh` run them too.  Only `verify` imports this module.  Layer functions are
+dimension-bridge checks that follow them live in `cli`, because `dims fig8`
+runs them too.  Only `verify` imports this module.  Layer functions are
 read through their modules at call time (`mcc.apply_mcc`), so a function
 replaced on its layer while the suite runs is the one called, and no
 reference to it stays behind here.
@@ -159,8 +159,7 @@ def _check_counterexample(seed):
 def _check_box_golden():
     """The computed seed box product must match the shipped table byte for
     byte in canonical JSON form."""
-    computed = floer.dumps_bimodule(floer.box_tensor(
-        floer.resolve_bimodule("tb_inv"), floer.resolve_bimodule("ta")))
+    computed = floer.dumps_bimodule(floer.seed_box())
     golden = floer.golden_box_text()
     if computed != golden:
         return {"witness": {"error": "computed box table differs from the "

@@ -10,6 +10,7 @@ import pytest
 
 import mcctensor.cli
 import mcctensor.floer
+import mcctensor.solenoidal
 from mcctensor.cli import main
 from mcctensor.floer import (box_power, dumps_bimodule, golden_box_text, seed_box,
                              write_bimodule)
@@ -385,3 +386,61 @@ def test_failed_cross_check_exits_1_not_2(capsys, monkeypatch, tmp_path):
     assert rep["ok"] is False
     assert rep["error"]["type"] == "CrossCheckError"
     assert rep["error"]["witness"]["output_inv_level"] == 2
+
+
+def refused_box():
+    """The seed box plus one r2 output fed without an r2: P1 refuses it."""
+    box = seed_box()
+    return mcctensor.floer.DABimodule(
+        box.algebra, box.generators,
+        list(box.terms) + [("q|g", ("r23",), "r2", "p|h")])
+
+
+def checks_by_name(rep):
+    return {c["name"]: c for c in rep["checks"]}
+
+
+def test_hh_refused_certificate_exits_1(capsys, tmp_path):
+    path = tmp_path / "refused.json"
+    path.write_text(dumps_bimodule(refused_box()))
+    code, rep = run_json(capsys, "hh", str(path))
+    assert code == 1 and rep["ok"] is False
+    check = checks_by_name(rep)["vanishing-certificate"]
+    assert check["status"] == "fail"
+    assert [c["name"] for c in check["witness"]["failed"]] == \
+        ["P1-r2-output-needs-r2-input"]
+    assert rep["result"]["certificate"]["granted"] is False
+
+
+@pytest.mark.parametrize("argv", [("dims", "fig8", "2"),
+                                  ("verify", "--depth-cap", "1")])
+def test_dimension_bridge_mismatch_exits_1(capsys, monkeypatch, argv):
+    real = mcctensor.solenoidal.staircase_dims
+    monkeypatch.setattr(mcctensor.solenoidal, "staircase_dims",
+                        lambda *a: [d + 1 for d in real(*a)])
+    code, rep = run_json(capsys, *argv)
+    assert code == 1 and rep["ok"] is False
+    checks = checks_by_name(rep)
+    assert checks["vanishing-certificates"]["status"] == "pass"
+    bridge = checks["dimension-bridge"]
+    assert bridge["status"] == "fail"
+    levels = int(argv[-1]) + 1
+    totals = [5, 9, 49, 2209][:levels]
+    assert bridge["witness"] == {"box_totals": totals,
+                                 "staircase": [t + 1 for t in totals]}
+
+
+def test_refused_seed_fails_both_dimension_checks(capsys, monkeypatch):
+    monkeypatch.setattr(mcctensor.floer, "seed_box", refused_box)
+    code, rep = run_json(capsys, "dims", "fig8", "2")
+    assert code == 1 and rep["ok"] is False
+    checks = checks_by_name(rep)
+    assert list(checks) == ["vanishing-certificates", "dimension-bridge"]
+    cert = checks["vanishing-certificates"]
+    assert cert["status"] == "fail"
+    assert "P1-r2-output-needs-r2-input" in cert["witness"]["error"]
+    assert cert["witness"]["report"]["granted"] is False
+    bridge = checks["dimension-bridge"]
+    assert bridge["status"] == "fail"
+    assert bridge["witness"]["error"].startswith("no dimension rows")
+    assert "floer_total" not in rep["table"][0]

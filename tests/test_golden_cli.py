@@ -3,6 +3,8 @@ from check timings and temp paths (see `tests/golden/regen.py`)."""
 
 import importlib.util
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -31,3 +33,13 @@ def test_ms_token_replaces_only_fixed_width_timings():
     text = '"ms":       3,\n"ms": 3,\n"msx":       3\n"ms":    12345678'
     assert regen._block("t", text, "/nowhere") == \
         '--- t\n"ms": <ms>,\n"ms": 3,\n"msx":       3\n"ms":    12345678'
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "777"])
+def test_golden_reports_do_not_depend_on_the_hash_seed(hash_seed):
+    # several reports are built from sets, and set order follows the string
+    # hash: each report must come out the same under any PYTHONHASHSEED
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    proc = subprocess.run([sys.executable, regen.__file__], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -14,6 +14,7 @@ kept here as the oracle, on shared Hypothesis strategies at small sizes.
     dumps_bimodule, write_bimodule: one piece generator  json.dumps(indent=2, sort_keys)  renamed_boxes   P^1, P^2, P^4
     DABimodule term validation, tables                   per_letter_validate              mutated_terms   seed box terms
     DABimodule zero-input cycle search, graphlib         dfs_zero_input_cycle             zero_input_sets 8 generators
+    _closure: products and feeds in one fixpoint         loop_closure, nested loops       closure_cases   11 labels
     rank, invert: one Gauss-Jordan                       loop_rank, loop_invert           square_cases    8 x 8
     perm_cycles, cycles_of                               loop_orbits, loop_cycles_of      permutations    16 points
     walks_of_length                                      hh0_quotient_dim, listed_walks   graphs          length 4
@@ -40,7 +41,7 @@ from mcctensor.errors import (ChainingError, InvarianceError, LabelMismatchError
                               MccError, ParseError, ZeroInputCycleError)
 from mcctensor.f2cat import (F2Matrix, LabeledSet, apply, dump_matrix, invert,
                              parse_matrix, rank, tensor_power_finite, word_label)
-from mcctensor.floer import (RHO_LABELS, UNIT, DABimodule, bimodule_to_dict,
+from mcctensor.floer import (RHO_LABELS, UNIT, DABimodule, _closure, bimodule_to_dict,
                              box_generators, box_power, box_tensor, cfda_ta,
                              cfda_tb_inv, dumps_bimodule, hfk_dimensions,
                              hochschild_generators, seed_box, torus_algebra,
@@ -239,6 +240,40 @@ def dfs_zero_input_cycle(terms):
                 state[path.pop()] = 2
                 pending.pop()
     return None
+
+
+def loop_close_products(alg, labels):
+    """Close a label set under nonzero algebra products, pair by pair."""
+    labels = set(labels)
+    grew = True
+    while grew:
+        grew = False
+        pool = [l for l in sorted(labels) if l in alg._idem]
+        for a in pool:
+            for b in pool:
+                c = alg.mult(a, b)
+                if c is not None and c not in labels:
+                    labels.add(c)
+                    grew = True
+    return labels
+
+
+def loop_closure(alg, labels, feeds):
+    """Product closure, then alternate one pass over the feeds with a fresh
+    product closure until neither adds a label."""
+    ext = loop_close_products(alg, labels)
+    grew = True
+    while grew:
+        grew = False
+        for ins, out in feeds:
+            if out not in ext and ext.issuperset(ins):
+                ext.add(out)
+                grew = True
+        new = loop_close_products(alg, ext)
+        if new != ext:
+            ext = new
+            grew = True
+    return ext
 
 
 def loop_invert(m):
@@ -510,6 +545,18 @@ def zero_input_sets(draw):
 
 
 @st.composite
+def closure_cases(draw):
+    """A start set of torus basis labels and the unit, and feeds from sets
+    of chords to such labels."""
+    labels = st.sampled_from(torus_algebra().basis + (UNIT,))
+    start = draw(st.sets(labels, max_size=5))
+    feeds = draw(st.sets(st.tuples(st.frozensets(st.sampled_from(RHO_LABELS),
+                                                  max_size=3), labels),
+                         max_size=8))
+    return start, feeds
+
+
+@st.composite
 def mutated_texts(draw):
     """A format's dumped text after one line edit: a line duplicated to
     another place, deleted or swapped with another, or one of its tokens
@@ -741,6 +788,15 @@ def test_zero_input_cycle_search_matches_the_dfs(case):
         edges = {(x, y) for (x, ins, _, y) in terms if not ins}
         assert len(cycle) >= 2 and cycle[0] == cycle[-1]
         assert all(pair in edges for pair in zip(cycle, cycle[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(closure_cases())
+def test_closure_matches_the_nested_loops(case):
+    start, feeds = case
+    alg = torus_algebra()
+    assert _closure(alg, start) == loop_close_products(alg, start)
+    assert _closure(alg, start, feeds) == loop_closure(alg, start, feeds)
 
 
 @settings(max_examples=300, deadline=None)
