@@ -280,6 +280,66 @@ def test_vanishing_certificate_refuses_mutated_box():
     assert p1["ok"] is False and p1["witness"] == list(extra)
 
 
+# -- the DA structure equation, which the certificates' induction assumes -------------
+
+# each chord's splittings into two chords, the inverse of TorusAlgebra._products
+CHORD_SPLITS = {}
+for (a, b), ab in TorusAlgebra._products.items():
+    CHORD_SPLITS.setdefault(ab, []).append((a, b))
+
+
+def times(b, c):
+    """The product of two outputs, the unit "1" acting as the identity."""
+    return c if b == "1" else b if c == "1" else TorusAlgebra._products.get((b, c))
+
+
+def structure_defect(p):
+    """The terms (x, inputs, output, y) left over, mod 2, in the DA structure
+    equation of p: the products b*c of every term x -> b z followed by a
+    term z -> c y, plus every term whose inputs multiply two adjacent
+    inputs of the word into one.  The differential of the torus algebra is
+    zero and strict unitality adds no terms, so a DA bimodule leaves none.
+    Terms are indexed by (source, output) so that only pairs whose outputs
+    multiply are formed."""
+    by_source_output = {}
+    for (z, ins, c, y) in p.terms:
+        by_source_output.setdefault((z, c), []).append((ins, y))
+    outputs = {c for (_, c) in by_source_output}
+    defect = set()
+    for (x, ins, b, z) in p.terms:
+        for c in outputs:
+            bc = times(b, c)
+            for (ins2, y) in by_source_output.get((z, c), ()) if bc else ():
+                defect ^= {(x, ins + ins2, bc, y)}
+        for i, a in enumerate(ins):
+            for pair in CHORD_SPLITS.get(a, ()):
+                defect ^= {(x, ins[:i] + pair + ins[i + 1:], b, z)}
+    return sorted(defect)
+
+
+def test_structure_equation_holds_on_the_seeds_and_box_powers():
+    for p in (cfda_tb_inv(), cfda_ta(), seed_box(), box_power(seed_box(), 2)):
+        assert structure_defect(p) == []
+    p4 = box_power(seed_box(), 4)
+    start = time.perf_counter()
+    assert structure_defect(p4) == []
+    assert time.perf_counter() - start < 1.0
+
+
+def test_structure_equation_fails_without_the_first_box_term():
+    box = seed_box()
+    assert box.sorted_terms[0] == ("p|f", (), "r3", "r|f")
+    broken = DABimodule(ALG, box.generators, box.sorted_terms[1:])
+    assert structure_defect(broken)[0] == ("p|f", ("r123", "r2", "r12"), "r123", "r|f")
+
+
+def test_structure_equation_fails_without_any_one_term():
+    for p in (cfda_tb_inv(), cfda_ta(), seed_box(), box_power(seed_box(), 2)):
+        for t in p.sorted_terms:
+            rest = [u for u in p.sorted_terms if u != t]
+            assert structure_defect(DABimodule(ALG, p.generators, rest)) != [], t
+
+
 def test_derived_certificate_matches_direct_assembly():
     base = seed_box()
     cert = derived_power_certificate(base, 2)
@@ -308,7 +368,7 @@ def test_derived_certificate_eight_fold_routes_agree():
         ["r1", "r123", "r23", "r3"]
 
 
-def test_derived_certificate_work_cap_degrades_to_bound(monkeypatch):
+def test_derived_certificate_saturates_under_a_small_work_cap(monkeypatch):
     base = seed_box()
     built = []
     real_box_generators = floer_module.box_generators
@@ -321,21 +381,53 @@ def test_derived_certificate_work_cap_degrades_to_bound(monkeypatch):
     monkeypatch.setattr(floer_module, "DERIVED_WORK_CAP", 20)
     cert = derived_power_certificate(base, 4)
     assert cert["granted"] is True
-    assert cert["fixpoint_is_exact"] is False
-    # the fallback is the proven upper bound, the base's extended closure
+    # the first doubling reaches the extended closure, so the fixpoint is
+    # exact at every depth and the cap is never met
+    assert cert["fixpoint_is_exact"] is True and cert["saturated_at_doubling"] == 1
     assert cert["fixpoint"] == cert["extended_fixpoint"]
-    # 5 -> 13 generators fits; the 89 the next doubling needs is never built
+    # 5 -> 13 generators is built; the 89 the next doubling would need is not
     assert [len(g) for g in built] == [13]
-    assert len(cert["fixpoint_by_doubling"]) == 2
+    assert cert["fixpoint_by_doubling"] == [["r1", "r3"]] + [cert["extended_fixpoint"]] * 4
 
 
 def test_derived_certificate_stops_before_the_sixteen_fold_power():
-    # P^4 -> P^8 (4,181 generators) is squared exactly; P^16 would need
-    # 9,227,465, over DERIVED_WORK_CAP, so the bound is reported
+    # P^4 -> P^8 (4,181 generators) is squared once and saturates; P^16
+    # (9,227,465 generators, over DERIVED_WORK_CAP) is never needed
     cert = derived_power_certificate(box_power(seed_box(), 4), 2)
     assert cert["granted"] is True
-    assert cert["fixpoint_is_exact"] is False
-    assert cert["fixpoint_by_doubling"][1] == ["r1", "r123", "r23", "r3"]
+    assert cert["fixpoint_is_exact"] is True and cert["saturated_at_doubling"] == 1
+    assert cert["fixpoint_by_doubling"][1:] == [["r1", "r123", "r23", "r3"]] * 2
+
+
+def test_derived_certificate_is_exact_at_every_depth_from_the_seed(monkeypatch):
+    built = []
+    real_box_generators = floer_module.box_generators
+    monkeypatch.setattr(floer_module, "box_generators",
+                        lambda m, n: built.append(len(m)) or real_box_generators(m, n))
+    for d in range(1, 11):
+        cert = derived_power_certificate(seed_box(), d)
+        assert cert["granted"] and cert["fixpoint_is_exact"]
+        assert cert["fixpoint"] == ["r1", "r123", "r23", "r3"]
+        assert cert["saturated_at_doubling"] == 1
+        assert len(cert["fixpoint_by_doubling"]) == d + 1
+    # each call builds the seed box (3 x 3) and then squares only to P^2
+    assert built == [3, 5] * 10
+
+
+def test_derived_certificate_does_not_saturate_where_an_end_starts_nothing():
+    # the fixpoint reaches the bound {r12} at once, but c|a ends at i1 and
+    # no generator starts there, so every doubling is still squared
+    base = make([("a", "i0", "i1"), ("c", "i0", "i0"), ("c2", "i0", "i0")],
+                [("c", (), "r12", "c2")])
+    cert = derived_power_certificate(base, 2)
+    assert cert["granted"] and cert["saturated_at_doubling"] is None
+    assert cert["fixpoint_by_doubling"] == [["r12"]] * 3
+
+
+def test_derived_certificate_refuses_an_unsaturated_base_over_the_cap(monkeypatch):
+    monkeypatch.setattr(floer_module, "DERIVED_WORK_CAP", 12)
+    with pytest.raises(SizeCapError, match=r"doubling 1: 13 generators, 7 terms, over the cap 12$"):
+        derived_power_certificate(seed_box(), 2)
 
 
 def test_derived_certificate_refuses_bad_base():

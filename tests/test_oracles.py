@@ -22,6 +22,8 @@ kept here as the oracle, on shared Hypothesis strategies at small sizes.
     apply_mcc                                            tensor_power_finite, apply       pullback_cases  C^X_out <= 64
     box-power diagonals + 2                              staircase_dims on fig8           seed box        P^1, P^2, P^4
     hfk_dimensions, counts from C                        assembled_dimension_totals       seed box        P^1 .. P^8
+    derived_power_certificate, stops at saturation       loop_derived_fixpoints           renamed_boxes   P^8
+    zero-input terms survive a doubling                  assembled powers, sub-table      seed box        P^1 .. P^8
     parse_matrix, _window, _graph, _tower: lex_lines     first repeated header line       mutated_texts   one line edit
 
 The towers are the plain solenoid, two parallel solenoids and a parsed
@@ -41,9 +43,10 @@ from mcctensor.errors import (ChainingError, InvarianceError, LabelMismatchError
                               MccError, ParseError, ZeroInputCycleError)
 from mcctensor.f2cat import (F2Matrix, LabeledSet, apply, dump_matrix, invert,
                              parse_matrix, rank, tensor_power_finite, word_label)
-from mcctensor.floer import (RHO_LABELS, UNIT, DABimodule, _closure, bimodule_to_dict,
-                             box_generators, box_power, box_tensor, cfda_ta,
-                             cfda_tb_inv, dumps_bimodule, hfk_dimensions,
+from mcctensor.floer import (RHO_LABELS, UNIT, DABimodule, _box_lift, _closure,
+                             bimodule_to_dict, box_generators, box_power, box_tensor,
+                             cfda_ta, cfda_tb_inv, derived_power_certificate,
+                             dumps_bimodule, hfk_dimensions,
                              hochschild_generators, seed_box, torus_algebra,
                              vanishing_certificate, write_bimodule)
 from mcctensor.mcc import MccWindow, apply_mcc, dump_window, parse_window
@@ -382,6 +385,31 @@ def assembled_dimension_totals(max_level):
             middle = sum(1 for (_, l, r) in gens if l == r)
         totals.append(middle + 2)
     return totals
+
+
+def squared_sub_tables(base, doublings):
+    """The sub-table of terms with inputs in the base's extended fixpoint E,
+    for P^(2^d), d = 0..doublings: squared through every doubling, with no
+    stop at saturation."""
+    closure = set(vanishing_certificate(base)["extended_fixpoint"])
+    gens = base.generators
+    tables = [{t for t in base.terms if closure.issuperset(t[1])}]
+    for _ in range(doublings):
+        by_src = {g: [] for (g, _, _) in gens}
+        for t in tables[-1]:
+            by_src[t[0]].append(t)
+        gens, raw = _box_lift(gens, by_src.__getitem__, gens, by_src.__getitem__)
+        table = set()
+        for t in raw:
+            table ^= {t}
+        tables.append(table)
+    return tables
+
+
+def loop_derived_fixpoints(base, doublings):
+    """The spontaneous fixpoint of every doubling through `doublings`."""
+    return [sorted(_closure(base.algebra, {t[2] for t in table if not t[1]}))
+            for table in squared_sub_tables(base, doublings)]
 
 
 # -- shared strategies ---------------------------------------------------------------
@@ -856,6 +884,41 @@ def test_hfk_dimensions_match_assembled_powers():
     for max_level in range(4):
         assert [r["total"] for r in hfk_dimensions(max_level)] == \
             totals[:max_level + 1]
+
+
+SEED_POWERS = {1: SEED_BOX, 2: box_power(SEED_BOX, 2), 4: box_power(SEED_BOX, 4)}
+
+
+@pytest.mark.parametrize("k, most", [(1, 3), (2, 2), (4, 1)])
+def test_saturated_derived_fixpoints_match_the_full_squaring(k, most):
+    loop = loop_derived_fixpoints(SEED_POWERS[k], most)
+    for d in range(most + 1):
+        assert derived_power_certificate(SEED_POWERS[k], d)["fixpoint_by_doubling"] == \
+            loop[:d + 1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(renamed_boxes(), st.integers(0, 3))
+def test_saturated_derived_fixpoints_match_on_renamed_boxes(p, d):
+    assert derived_power_certificate(p, d)["fixpoint_by_doubling"] == \
+        loop_derived_fixpoints(p, d)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_zero_input_terms_survive_each_doubling(k):
+    p = SEED_POWERS[k]
+    closure = set(vanishing_certificate(p)["extended_fixpoint"])
+    tables = squared_sub_tables(p, 1)
+    if 2 * k in SEED_POWERS:
+        # the squared sub-table is the assembled square's terms with inputs
+        # in E; P^8 is over the box cap, so there the sub-table stands in
+        assert tables[1] == {t for t in SEED_POWERS[2 * k].terms
+                             if closure.issuperset(t[1])}
+    right_of = {l: [y for (y, yl, _) in p.generators if yl == l] for l in ("i0", "i1")}
+    for (x, ins, b, x2) in p.terms:
+        if not ins:
+            for y in right_of[p.idem[x][1]]:
+                assert (x + "|" + y, (), b, x2 + "|" + y) in tables[1]
 
 
 @settings(max_examples=400, deadline=None)
