@@ -84,7 +84,7 @@ def _dimension_checks(suite, max_level, dims):
 
     def certify():
         try:
-            rows.extend(hfk_dimensions(max_level, cross_check=False))
+            rows.extend(hfk_dimensions(max_level))
         except CertificateError as e:
             return {"witness": {"error": str(e), "report": e.report}}
         return {"detail": {"powers": [r["power"] for r in rows], "certified": True}}

@@ -24,6 +24,8 @@ live here too.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from graphlib import CycleError, TopologicalSorter
 
 from .errors import (CertificateError, ChainingError, CrossCheckError,
@@ -147,8 +149,7 @@ class DABimodule:
     the generators come in never tells two bimodules apart.
     """
 
-    def __init__(self, algebra, generators, terms):
-        self.algebra = algebra
+    def __init__(self, generators, terms):
         gens = []
         for (gname, left, right) in generators:
             if left not in ("i0", "i1") or right not in ("i1", "i0"):
@@ -156,11 +157,10 @@ class DABimodule:
                     f"generator {gname!r} needs idempotents in {{i0, i1}}, "
                     f"got ({left!r}, {right!r})")
             gens.append((str(gname), left, right))
-        names = [g[0] for g in gens]
-        if len(set(names)) != len(names):
+        self.idem = {g: (l, r) for (g, l, r) in gens}
+        if len(self.idem) != len(gens):
             raise LabelMismatchError("duplicate generator names")
         self.generators = tuple(sorted(gens))
-        self.idem = {g: (l, r) for (g, l, r) in gens}
 
         bag = set()
         for (x, inputs, output, y) in terms:
@@ -262,11 +262,19 @@ def _chains_with_outputs(terms_from, start, outputs):
 def box_generators(m_gens, n_gens):
     """Generator pairs of a box product: left and right factors chained
     through the middle idempotent, named by flat "|"-joined labels so that
-    iterated products associate on the nose."""
-    return [(xn + "|" + yn, xl, yr)
+    iterated products associate on the nose.  A name that two pairs share
+    (factor names holding "|" can spell one name two ways) raises
+    LabelMismatchError naming it."""
+    gens = [(xn + "|" + yn, xl, yr)
             for (xn, xl, xr) in m_gens
             for (yn, yl, yr) in n_gens
             if xr == yl]
+    seen = set()
+    for (g, _, _) in gens:
+        if g in seen:
+            raise LabelMismatchError(f"box generator name {g!r} names two pairs")
+        seen.add(g)
+    return gens
 
 
 def idempotent_counts(gens):
@@ -330,12 +338,10 @@ def box_tensor(m, n):
     cancelled in pairs over F2.  A product of more than BOX_GENERATOR_CAP
     generators, counted from C(M) C(N) before any pair is formed, raises
     SizeCapError."""
-    if m.algebra is not n.algebra:
-        raise LabelMismatchError("box tensor needs one algebra")
     _refuse_over_cap(_count_product(idempotent_counts(m.generators),
                                     idempotent_counts(n.generators)))
     gens, terms = _box_lift(m.generators, m.terms_from, n.generators, n.terms_from)
-    return DABimodule(m.algebra, gens, terms)
+    return DABimodule(gens, terms)
 
 
 def box_power(p, k):
@@ -372,7 +378,6 @@ def hochschild_generators(p):
 
 def cfda_tb_inv():
     """Left factor of the seed pair: three generators p, q, r."""
-    alg = torus_algebra()
     gens = [("p", "i0", "i0"), ("q", "i1", "i1"), ("r", "i1", "i0")]
     terms = [
         ("p", ("r1",), "r1", "q"),
@@ -386,12 +391,11 @@ def cfda_tb_inv():
         ("r", ("r3",), "r23", "q"),
         ("r", ("r3", "r2"), "r2", "p"),
     ]
-    return DABimodule(alg, gens, terms)
+    return DABimodule(gens, terms)
 
 
 def cfda_ta():
     """Right factor of the seed pair: three generators f, g, h."""
-    alg = torus_algebra()
     gens = [("f", "i0", "i0"), ("g", "i1", "i1"), ("h", "i0", "i1")]
     terms = [
         ("f", ("r1",), "r12", "h"),
@@ -405,7 +409,7 @@ def cfda_ta():
         ("h", (), "r1", "g"),
         ("h", ("r23",), "r3", "g"),
     ]
-    return DABimodule(alg, gens, terms)
+    return DABimodule(gens, terms)
 
 
 def seed_box():
@@ -415,9 +419,11 @@ def seed_box():
 
 # -- vanishing certificate -----------------------------------------------------------
 
-def _closure(alg, labels, feeds=()):
-    """The least label set holding `labels`, closed under nonzero algebra
-    products and under each (inputs, output) feed whose inputs lie inside."""
+def _closure(labels, feeds=()):
+    """The least label set holding `labels`, closed under nonzero torus
+    algebra products and under each (inputs, output) feed whose inputs lie
+    inside."""
+    alg = torus_algebra()
     labels = set(labels)
     while True:
         pool = [a for a in labels if a in alg._idem]
@@ -446,7 +452,7 @@ def vanishing_certificate(p):
     certificate is granted when all checks pass and both closures avoid the
     forbidden labels.
     """
-    alg = p.algebra
+    alg = torus_algebra()
     forbidden = frozenset(FORBIDDEN_EDGE_LABELS)
 
     # P2 and P4: the first offending operand pair of each, in one scan
@@ -473,11 +479,11 @@ def vanishing_certificate(p):
               for name, w in witnesses]
 
     # spontaneous closure: zero-input outputs, closed under nonzero products
-    fix = _closure(alg, {t[2] for t in p.terms if not t[1]})
+    fix = _closure({t[2] for t in p.terms if not t[1]})
 
     # extended closure: also feed terms whose inputs all lie inside; terms
     # with equal input letters and output feed alike
-    ext = _closure(alg, fix, {(frozenset(t[1]), t[2]) for t in p.terms if t[1]})
+    ext = _closure(fix, {(frozenset(t[1]), t[2]) for t in p.terms if t[1]})
 
     granted = (all(c["ok"] for c in checks)
                and not (fix & forbidden) and not (ext & forbidden))
@@ -559,7 +565,6 @@ def derived_power_certificate(base, doublings):
         raise CertificateError(
             f"cannot derive a power certificate: the base certificate is "
             f"refused: {detail}", report=cert)
-    alg = base.algebra
     closure = frozenset(cert["extended_fixpoint"])
     bad = next((t for t in base.sorted_terms if not t[1] and t[2] == UNIT), None)
     if bad is not None:
@@ -596,7 +601,7 @@ def derived_power_certificate(base, doublings):
         table = set()
         for t in raw:
             table ^= {t}
-        fix = _closure(alg, {t[2] for t in table if not t[1]})
+        fix = _closure({t[2] for t in table if not t[1]})
         if not fix <= closure:
             raise CrossCheckError(
                 "derived fixpoint left its proven bound",
@@ -608,11 +613,7 @@ def derived_power_certificate(base, doublings):
             break
 
     forbidden = frozenset(FORBIDDEN_EDGE_LABELS)
-    checks = []
-    for c in cert["checks"]:
-        entry = dict(c)
-        entry["derived"] = True
-        checks.append(entry)
+    checks = [dict(c, derived=True) for c in cert["checks"]]
     return {
         "granted": not (closure & forbidden),
         "derived": True,
@@ -630,40 +631,36 @@ def derived_power_certificate(base, doublings):
     }
 
 
-def hfk_dimensions(max_level, cross_check=True):
+def hfk_dimensions(max_level):
     """Dimension rows for the 2^m-fold box powers of seed_box(), m = 0..max_level,
     with no power assembled.
 
-    One structural induction, derived_power_certificate, certifies the seed
-    directly and every deeper power; a refused seed raises CertificateError
-    naming the failed property and offending term.  The middle count is the
-    number of diagonal generators, trace(C^(2^m)) for the seed's
-    idempotent-count matrix C, and the closed form adds one dimension on each
-    side.  With cross_check=True every total is compared against the level-m
-    solenoidal staircase dimension, an independent computation path.
+    The middle count is the number of diagonal generators, trace(C^(2^m))
+    for the seed's idempotent-count matrix C, and the closed form adds one
+    dimension on each side.  The first level whose total has more decimal
+    digits than the interpreter writes (sys.get_int_max_str_digits(), or
+    its default while the limit is off) raises SizeCapError naming the
+    level, before C is squared any further: at the default of 4,300 digits
+    that is level 14.  One structural induction, derived_power_certificate,
+    then certifies the seed directly and every deeper power; a refused seed
+    raises CertificateError naming the failed property and offending term.
     """
     base = seed_box()
-    derived_power_certificate(base, max_level)
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     counts = idempotent_counts(base.generators)
     rows = []
     for m in range(max_level + 1):
         if m:
             counts = _count_product(counts, counts)
         middle = counts[0][0] + counts[1][1]
+        digits = math.floor(math.log10(middle + 2)) + 1
+        if digits > limit:
+            raise SizeCapError(f"level {m}: its total has {digits} decimal digits, "
+                               f"over the interpreter's limit of {limit}")
         rows.append({"level": m, "power": 2 ** m, "lower": 1, "middle": middle,
                      "upper": 1, "total": middle + 2,
                      "certificate": "derived" if m else "direct"})
-    if cross_check:
-        from .solenoidal import fig8, staircase_dims
-        from .towers import dyadic_solenoid
-        dims = staircase_dims(fig8(), dyadic_solenoid(max_level), max_level)
-        for row, dim in zip(rows, dims):
-            if row["total"] != dim:
-                raise CrossCheckError(
-                    f"dimension bridge mismatch at level {row['level']}: "
-                    f"box power gives {row['total']}, staircase gives {dim}",
-                    values={"level": row["level"], "box_total": row["total"],
-                            "staircase": dim})
+    derived_power_certificate(base, max_level)
     return rows
 
 
@@ -711,7 +708,7 @@ def bimodule_from_dict(d):
         ins = _json_value(t.get("inputs"), list, f"terms[{i}].inputs")
         terms.append((x, tuple(_json_value(a, str, f"terms[{i}].inputs[{j}]")
                                for j, a in enumerate(ins)), out, y))
-    return DABimodule(torus_algebra(), gens, terms)
+    return DABimodule(gens, terms)
 
 
 # stored inputs are chords and stored outputs chords or the unit

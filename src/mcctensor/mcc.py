@@ -383,16 +383,22 @@ def parse_window(text, tower=None, tower_loader=None):
 
 
 def dump_window(window):
+    """The window text of `window`, headed by its tower's reference when the
+    tower has one; a label, word or reference the text cannot carry raises
+    LabelMismatchError naming it."""
     labels = window.basis.labels
     require_token_labels(labels, "basis")
     require_word_labels(labels, "basis")
     single = all(len(b) == 1 for b in labels)
     lines = []
-    name = window.tower.name or ""
-    if name == "dyadic":
-        lines.append(f"tower: dyadic {window.tower.max_level}")
-    elif name.startswith("dyadic-x"):
-        lines.append(f"tower: dyadic {window.tower.max_level} x{name[len('dyadic-x'):]}")
+    name = window.tower.name
+    if name is not None:
+        line = f"tower: {name}"
+        if [value.strip() for _, _, value in lex_lines(line, _WINDOW_HEADERS)] != [name]:
+            raise LabelMismatchError(
+                f"tower reference {name!r} cannot be written in the text format: "
+                f"its tower: line would not read back")
+        lines.append(line)
     lines.append("basis: " + " ".join(labels))
     lines.append(f"depth: {window.depth}")
     for w in sorted(window.support):
@@ -417,7 +423,9 @@ def load_window(path):
             if not os.path.isabs(tpath):
                 tpath = os.path.join(os.path.dirname(os.path.abspath(path)), tpath)
             with open(tpath, "r", encoding="utf-8") as th:
-                return _tw.parse_tower(th.read())
+                tower = _tw.parse_tower(th.read())
+            tower.name = "file " + os.path.abspath(tpath)
+            return tower
         return _tw.tower_from_reference(ref)
 
     return parse_window(text, tower_loader=loader)

@@ -109,6 +109,8 @@ class DyadicTower:
         generate that level's group.
     shift : optional list of per-level permutations (dicts), the
         distinguished shift S.
+    name : optional reference that loads the tower again, as a window
+        file's tower: header writes it ('dyadic 3', 'file /abs/t.txt').
     """
 
     def __init__(self, level_sets, projections, generators, shift=None, name=None):
@@ -375,7 +377,8 @@ def dyadic_solenoid(max_level, copies=1):
     for m in range(max_level + 1):
         shift.append({lab(t, i): lab(t, (i + 1) % (2 ** m))
                       for t in tags for i in range(2 ** m)})
-    name = "dyadic" if copies == 1 else f"dyadic-x{copies}"
+    # the reference tower_from_reference resolves back to this tower
+    name = f"dyadic {max_level}" + (f" x{copies}" if copies > 1 else "")
     return DyadicTower(level_sets, projections, generators, shift=shift, name=name)
 
 

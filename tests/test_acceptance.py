@@ -46,7 +46,7 @@ def test_ac2_dimension_tower_two_paths():
     """Levels 0..3 give totals 5, 9, 49, 2209 on both computation paths."""
     t0 = time.monotonic()
     stair = staircase_dims(fig8(), TOWER, 3)
-    rows = hfk_dimensions(3, cross_check=True)
+    rows = hfk_dimensions(3)
     floer = [r["total"] for r in rows]
     assert stair == [5, 9, 49, 2209]
     assert floer == [5, 9, 49, 2209]

@@ -15,6 +15,7 @@ from mcctensor.cli import main
 from mcctensor.floer import (box_power, dumps_bimodule, golden_box_text, seed_box,
                              write_bimodule)
 from mcctensor.mcc import load_window
+from mcctensor.towers import dump_tower, dyadic_solenoid
 
 
 def run(capsys, *argv):
@@ -278,6 +279,22 @@ def test_mcc_apply_deeper_output(capsys, tmp_path):
     assert back.support == {("y", "x", "y", "x")}
 
 
+def test_mcc_apply_output_over_a_file_tower_reads_back(capsys, tmp_path):
+    # the output names its tower by absolute path, so it loads from anywhere
+    mat, _ = write_swap_fixtures(tmp_path)
+    (tmp_path / "t.txt").write_text(dump_tower(dyadic_solenoid(2)))
+    win = tmp_path / "w.txt"
+    win.write_text("tower: file t.txt\nbasis: x y\ndepth: 1\nxy 1\n")
+    sub = tmp_path / "out"
+    sub.mkdir()
+    once, twice = sub / "o1.txt", sub / "o2.txt"
+    assert run_json(capsys, "mcc", "apply", mat, str(win), "--out", str(once))[0] == 0
+    assert once.read_text().startswith(f"tower: file {tmp_path / 't.txt'}\n")
+    code, rep = run_json(capsys, "mcc", "apply", mat, str(once), "--out", str(twice))
+    assert code == 0 and rep["result"]["support_size"] == 1
+    assert load_window(str(twice)).support == {("x", "y")}
+
+
 def test_mcc_apply_parse_error(capsys, tmp_path):
     bad = tmp_path / "bad.mat"
     bad.write_text("rows: x y\ncols: x y\n0 1\n1\n")
@@ -392,8 +409,7 @@ def refused_box():
     """The seed box plus one r2 output fed without an r2: P1 refuses it."""
     box = seed_box()
     return mcctensor.floer.DABimodule(
-        box.algebra, box.generators,
-        list(box.terms) + [("q|g", ("r23",), "r2", "p|h")])
+        box.generators, list(box.terms) + [("q|g", ("r23",), "r2", "p|h")])
 
 
 def checks_by_name(rep):

@@ -10,7 +10,6 @@ import time
 import pytest
 
 import mcctensor.floer as floer_module
-import mcctensor.solenoidal as solenoidal_module
 from mcctensor.errors import (CertificateError, ChainingError, CrossCheckError,
                               LabelMismatchError, MccError, SizeCapError,
                               ZeroInputCycleError)
@@ -21,7 +20,8 @@ from mcctensor.floer import (DABimodule, TorusAlgebra, bimodule_from_dict,
                              hfk_dimensions, hochschild_generators,
                              idempotent_counts, load_bimodule, resolve_bimodule,
                              seed_box, torus_algebra, vanishing_certificate)
-from mcctensor.solenoidal import fig8
+from mcctensor.solenoidal import fig8, staircase_dims
+from mcctensor.towers import dyadic_solenoid
 
 ALG = torus_algebra()
 
@@ -72,7 +72,7 @@ def test_algebra_gradings_and_differential():
 
 
 def make(gens, terms):
-    return DABimodule(ALG, gens, terms)
+    return DABimodule(gens, terms)
 
 
 def test_bimodule_validation_generators():
@@ -148,6 +148,24 @@ def test_box_generators_pairing():
     assert gens == [("p|f", "i0", "i0"), ("p|h", "i0", "i1"),
                     ("q|g", "i1", "i1"), ("r|f", "i1", "i0"),
                     ("r|h", "i1", "i1")]
+
+
+def colliding_box():
+    """The seed box renamed so that two pairs of its square share the name
+    'a||b': 'a|' then 'b', and 'a' then '|b'."""
+    name = {"p|f": "a|", "p|h": "b", "q|g": "a", "r|f": "|b", "r|h": "c"}
+    box = seed_box()
+    return DABimodule([(name[g], l, r) for (g, l, r) in box.generators],
+                      [(name[x], ins, out, name[y]) for (x, ins, out, y) in box.terms])
+
+
+@pytest.mark.parametrize("square", [lambda p: box_power(p, 2),
+                                    lambda p: derived_power_certificate(p, 3)],
+                         ids=["box_power", "derived_power_certificate"])
+def test_box_generator_names_two_pairs_share_are_refused(square):
+    with pytest.raises(LabelMismatchError, match=r"^box generator name 'a\|\|b' "
+                                                 r"names two pairs$"):
+        square(colliding_box())
 
 
 def test_box_matches_shipped_reference():
@@ -272,7 +290,7 @@ def test_vanishing_certificate_refuses_spontaneous_r2():
 def test_vanishing_certificate_refuses_mutated_box():
     box = seed_box()
     extra = ("q|g", ("r23",), "r2", "p|h")
-    mutated = DABimodule(ALG, box.generators,
+    mutated = DABimodule(box.generators,
                          list(box.terms) + [extra])
     cert = vanishing_certificate(mutated)
     assert cert["granted"] is False
@@ -329,7 +347,7 @@ def test_structure_equation_holds_on_the_seeds_and_box_powers():
 def test_structure_equation_fails_without_the_first_box_term():
     box = seed_box()
     assert box.sorted_terms[0] == ("p|f", (), "r3", "r|f")
-    broken = DABimodule(ALG, box.generators, box.sorted_terms[1:])
+    broken = DABimodule(box.generators, box.sorted_terms[1:])
     assert structure_defect(broken)[0] == ("p|f", ("r123", "r2", "r12"), "r123", "r|f")
 
 
@@ -337,7 +355,7 @@ def test_structure_equation_fails_without_any_one_term():
     for p in (cfda_tb_inv(), cfda_ta(), seed_box(), box_power(seed_box(), 2)):
         for t in p.sorted_terms:
             rest = [u for u in p.sorted_terms if u != t]
-            assert structure_defect(DABimodule(ALG, p.generators, rest)) != [], t
+            assert structure_defect(DABimodule(p.generators, rest)) != [], t
 
 
 def test_derived_certificate_matches_direct_assembly():
@@ -460,13 +478,47 @@ def lucas(n):
 
 def test_hfk_dimensions_to_level_ten_follow_the_lucas_numbers():
     # P^k has the Lucas number L(2k) diagonal generators, so the total at
-    # level m is L(2^(m+1)) + 2; cross_check bridges every row to the
-    # staircase dimension
+    # level m is L(2^(m+1)) + 2, and the staircase dimension agrees
     start = time.perf_counter()
     rows = hfk_dimensions(10)
     assert time.perf_counter() - start < 1.0
-    assert [r["total"] for r in rows] == [lucas(2 ** (m + 1)) + 2 for m in range(11)]
+    totals = [r["total"] for r in rows]
+    assert totals == [lucas(2 ** (m + 1)) + 2 for m in range(11)]
+    assert totals == staircase_dims(fig8(), dyadic_solenoid(10), 10)
     assert rows[4]["total"] == 4870849
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC_ENV = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src") + os.pathsep
+               + os.environ.get("PYTHONPATH", ""))
+
+
+def test_hfk_dimensions_to_level_13_load_and_build_nothing_else():
+    code = (
+        "import sys, time\n"
+        "from mcctensor.floer import hfk_dimensions\n"
+        "start = time.perf_counter()\n"
+        "rows = hfk_dimensions(13)\n"
+        "ms = (time.perf_counter() - start) * 1000\n"
+        "print(sorted(m for m in sys.modules if m.startswith('mcctensor')))\n"
+        "print([r['total'] for r in rows])\n"
+        "print(ms)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=SRC_ENV,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    modules, totals, ms = proc.stdout.splitlines()
+    assert modules == str(["mcctensor", "mcctensor.errors", "mcctensor.floer"])
+    assert totals == str([lucas(2 ** (m + 1)) + 2 for m in range(14)])
+    assert float(ms) < 10
+
+
+@pytest.mark.parametrize("level", [14, 30])
+def test_hfk_dimensions_refuse_totals_past_the_digit_limit(level):
+    start = time.perf_counter()
+    with pytest.raises(SizeCapError, match="^level 14: its total has 6849 decimal "
+                                           "digits, over the interpreter's limit of 4300$"):
+        hfk_dimensions(level)
+    assert time.perf_counter() - start < 0.05
 
 
 def test_hfk_dimensions_assemble_no_power(monkeypatch):
@@ -482,7 +534,7 @@ def test_hfk_dimensions_assemble_no_power(monkeypatch):
     monkeypatch.setattr(floer_module, "vanishing_certificate",
                         lambda p: calls.append(p) or real(p))
     start = time.perf_counter()
-    rows = hfk_dimensions(4, cross_check=False)
+    rows = hfk_dimensions(4)
     assert time.perf_counter() - start < 1.0
     assert calls == [seed]
     assert rows[-1]["middle"] == 4870847
@@ -491,7 +543,7 @@ def test_hfk_dimensions_assemble_no_power(monkeypatch):
 def test_hfk_dimensions_refuse_mutated_seed(monkeypatch):
     box = seed_box()
     extra = ("q|g", ("r23",), "r2", "p|h")
-    mutated = DABimodule(ALG, box.generators,
+    mutated = DABimodule(box.generators,
                          list(box.terms) + [extra])
     monkeypatch.setattr(floer_module, "seed_box", lambda: mutated)
     with pytest.raises(CertificateError) as e:
@@ -559,7 +611,7 @@ def test_hfk_dimensions_certify_each_power_once(monkeypatch):
     real = floer_module.vanishing_certificate
     monkeypatch.setattr(floer_module, "vanishing_certificate",
                         lambda p: calls.append(len(p.terms)) or real(p))
-    hfk_dimensions(3, cross_check=False)
+    hfk_dimensions(3)
     assert calls == [21]
 
 
@@ -569,7 +621,7 @@ def test_hfk_dimensions_derive_deeper_powers_from_the_deepest_assembled(monkeypa
     monkeypatch.setattr(floer_module, "derived_power_certificate",
                         lambda base, doublings, **kw: calls.append(
                             (len(base.generators), doublings)) or real(base, doublings, **kw))
-    hfk_dimensions(3, cross_check=False)
+    hfk_dimensions(3)
     # the seed is the only power at hand: one induction covers every level
     assert calls == [(5, 3)]
 
@@ -626,20 +678,11 @@ def test_derived_fixpoint_bound_is_a_cross_check(monkeypatch):
                               "bound": ["r1", "r3"]}
 
 
-def test_dimension_bridge_is_a_cross_check(monkeypatch):
-    real = solenoidal_module.staircase_dims
-    monkeypatch.setattr(solenoidal_module, "staircase_dims",
-                        lambda g, tower, m: [d + 1 for d in real(g, tower, m)])
-    with pytest.raises(CrossCheckError) as e:
-        hfk_dimensions(1)
-    assert e.value.values == {"level": 0, "box_total": 5, "staircase": 6}
-
-
 CROSS_CHECK_TESTS = (
     "tests/test_floer.py::test_torus_self_checks_are_cross_checks",
     "tests/test_floer.py::test_box_target_check_is_a_cross_check",
     "tests/test_floer.py::test_derived_fixpoint_bound_is_a_cross_check",
-    "tests/test_floer.py::test_dimension_bridge_is_a_cross_check",
+    "tests/test_cli.py::test_dimension_bridge_mismatch_exits_1",
     "tests/test_solenoidal.py::test_hh0_oracle_is_a_cross_check",
 )
 
@@ -647,15 +690,12 @@ CROSS_CHECK_TESTS = (
 def test_acceptance_and_cross_checks_hold_under_python_O():
     # -O strips the tests' own asserts, but pytest.raises still fails when a
     # cross-check no longer raises
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src") + os.pathsep
-               + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "tests/test_acceptance.py", *CROSS_CHECK_TESTS],
-        cwd=root, env=env, capture_output=True, text=True, timeout=300)
+        cwd=ROOT, env=SRC_ENV, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "17 passed" in proc.stdout
+    assert "18 passed" in proc.stdout
 
 
 def test_bimodule_json_roundtrip(tmp_path):
@@ -682,7 +722,7 @@ def test_generator_order_does_not_matter():
     assert box_tensor(m, m) == box_tensor(n, n)
     box = seed_box()
     for perm in itertools.islice(itertools.permutations(box.generators), 0, None, 17):
-        shuffled = DABimodule(ALG, perm, box.terms)
+        shuffled = DABimodule(perm, box.terms)
         assert shuffled == box and hash(shuffled) == hash(box)
 
 

@@ -19,7 +19,7 @@ from mcctensor.mcc import (LazyTower, MccWindow, apply_mcc, cc_probe,
                            dump_window, load_window, odd_spike_series,
                            parse_window, single_spike_series, staircase_position,
                            symmetrized_series)
-from mcctensor.towers import dyadic_solenoid
+from mcctensor.towers import dump_tower, dyadic_solenoid
 
 TOWER = dyadic_solenoid(3)
 XY = LabeledSet(["x", "y"])
@@ -384,6 +384,22 @@ def test_window_dump_refuses_words_that_read_as_headers():
         dump_window(MccWindow(TOWER, letters, 3, {tuple("tower:tt")}))
     with pytest.raises(LabelMismatchError, match="'depth:,e'"):
         dump_window(MccWindow(TOWER, ["depth:", "e"], 1, {("depth:", "e")}))
+
+
+@pytest.mark.parametrize("dirname", ["plain", "a#b"])
+def test_window_dump_names_a_file_tower_by_its_absolute_path(tmp_path, dirname):
+    # '#' would start a comment in the tower: line, so that path is refused
+    folder = tmp_path / dirname
+    folder.mkdir()
+    (folder / "t.txt").write_text(dump_tower(dyadic_solenoid(1)))
+    (folder / "w.txt").write_text("tower: file t.txt\nbasis: x y\ndepth: 1\nxy 1\n")
+    w = load_window(str(folder / "w.txt"))
+    assert w.tower.name == f"file {folder / 't.txt'}"
+    if "#" not in dirname:
+        assert dump_window(w).startswith(f"tower: {w.tower.name}\n")
+        return
+    with pytest.raises(LabelMismatchError, match="tower reference .*a#b"):
+        dump_window(w)
 
 
 def test_window_text_xor_semantics():

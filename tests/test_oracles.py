@@ -183,7 +183,7 @@ def per_letter_validate(p, term):
         raise LabelMismatchError(f"term {term} uses unknown generators")
     lx, rx = p.idem[x]
     ly, ry = p.idem[y]
-    alg = p.algebra
+    alg = torus_algebra()
     for a in inputs:
         if a not in RHO_LABELS:
             raise ChainingError(
@@ -408,7 +408,7 @@ def squared_sub_tables(base, doublings):
 
 def loop_derived_fixpoints(base, doublings):
     """The spontaneous fixpoint of every doubling through `doublings`."""
-    return [sorted(_closure(base.algebra, {t[2] for t in table if not t[1]}))
+    return [sorted(_closure({t[2] for t in table if not t[1]}))
             for table in squared_sub_tables(base, doublings)]
 
 
@@ -531,8 +531,7 @@ def renamed_boxes(draw):
     new = draw(st.lists(st.text(NAME_CHARS, min_size=1, max_size=4),
                         min_size=len(old), max_size=len(old), unique=True))
     name = dict(zip(old, new))
-    return DABimodule(SEED_BOX.algebra,
-                      [(name[g], l, r) for (g, l, r) in SEED_BOX.generators],
+    return DABimodule([(name[g], l, r) for (g, l, r) in SEED_BOX.generators],
                       [(name[x], ins, out, name[y])
                        for (x, ins, out, y) in SEED_BOX.terms])
 
@@ -774,8 +773,8 @@ def test_dihedral_tower_kernels_are_not_cyclic():
 
 @pytest.mark.parametrize("p", [
     cfda_tb_inv(), cfda_ta(), SEED_BOX, box_power(SEED_BOX, 2), box_power(SEED_BOX, 4),
-    DABimodule(torus_algebra(), cfda_ta().generators, []),
-    DABimodule(torus_algebra(), [], []),
+    DABimodule(cfda_ta().generators, []),
+    DABimodule([], []),
 ], ids=["tb_inv", "ta", "P1", "P2", "P4", "no terms", "empty"])
 def test_dumps_bimodule_matches_json_dumps(p):
     assert dumps_bimodule(p) == json_dumps_bimodule(p)
@@ -804,7 +803,7 @@ def test_zero_input_cycle_search_matches_the_dfs(case):
     gens, terms = case
     expected = dfs_zero_input_cycle(terms)
     try:
-        DABimodule(torus_algebra(), gens, terms)
+        DABimodule(gens, terms)
     except ZeroInputCycleError as e:
         cycle = e.cycle
         assert str(e) == f"zero-input terms form a cycle: {' -> '.join(cycle)}"
@@ -823,8 +822,8 @@ def test_zero_input_cycle_search_matches_the_dfs(case):
 def test_closure_matches_the_nested_loops(case):
     start, feeds = case
     alg = torus_algebra()
-    assert _closure(alg, start) == loop_close_products(alg, start)
-    assert _closure(alg, start, feeds) == loop_closure(alg, start, feeds)
+    assert _closure(start) == loop_close_products(alg, start)
+    assert _closure(start, feeds) == loop_closure(alg, start, feeds)
 
 
 @settings(max_examples=300, deadline=None)
