@@ -127,10 +127,6 @@ def cmd_dims(args):
     from .solenoidal import load_graph, staircase_dims
     from .towers import dyadic_solenoid
 
-    if args.fmt and args.format and args.fmt != args.format:
-        raise MccError(f"two formats given: positional {args.fmt!r} and "
-                       f"--format {args.format!r}")
-    fmt = args.fmt or args.format or "json"
     max_level = args.max_level
     if not 0 <= max_level <= MAX_DEPTH_CAP:
         raise MccError(
@@ -142,7 +138,7 @@ def cmd_dims(args):
     is_fig8 = args.graph == "fig8"
     suite = Suite()
     table = []
-    if is_fig8 and fmt == "json":
+    if is_fig8 and args.fmt == "json":
         rows = _dimension_checks(suite, max_level, dims)
         for m, total in enumerate(dims):
             entry = {"level": m, "total": total,
@@ -154,7 +150,7 @@ def cmd_dims(args):
         table = [{"level": m, "total": total} for m, total in enumerate(dims)]
 
     artifacts = []
-    if fmt == "csv":
+    if args.fmt == "csv":
         csv_text = "\n".join(f"{row['level']},{row['total']}" for row in table)
         csv_text += "\n"
         if args.out:
@@ -171,7 +167,7 @@ def cmd_dims(args):
         artifacts.append(args.out)
 
     report = {"command": "dims", "graph": args.graph, "max_level": max_level,
-              "format": fmt, "table": table, "checks": suite.checks,
+              "format": args.fmt, "table": table, "checks": suite.checks,
               "artifacts": artifacts}
     return _emit(report)
 
@@ -273,9 +269,7 @@ def _build_parser():
     p_dims = sub.add_parser("dims", help="per-level sector dimension table")
     p_dims.add_argument("graph", help='graph file path or the builtin "fig8"')
     p_dims.add_argument("max_level", type=int, help="deepest level (0..3)")
-    p_dims.add_argument("fmt", nargs="?", choices=("json", "csv"), default=None,
-                        help="output format (positional alternative)")
-    p_dims.add_argument("--format", choices=("json", "csv"), default=None,
+    p_dims.add_argument("fmt", nargs="?", choices=("json", "csv"), default="json",
                         help="output format (default json)")
     p_dims.add_argument("--out", default=None, help="write the table here")
     p_dims.set_defaults(func=cmd_dims)

@@ -20,15 +20,24 @@ DEFAULT_ENTRY_CAP = 1 << 20
 
 
 class LabeledSet:
-    """An ordered finite set of distinct string labels."""
+    """An ordered finite set of distinct string labels.  LabeledSet(s) is s
+    itself when s already is one, so any labels argument may be coerced
+    without checking it twice."""
 
-    def __init__(self, labels):
+    def __new__(cls, labels):
+        if isinstance(labels, LabeledSet):
+            return labels
         labels = tuple(str(l) for l in labels)
         if len(set(labels)) != len(labels):
             dup = sorted({l for l in labels if labels.count(l) > 1})
             raise LabelMismatchError(f"duplicate labels in labeled set: {dup}")
+        self = super().__new__(cls)
         self.labels = labels
         self.index = {l: i for i, l in enumerate(labels)}
+        return self
+
+    def __getnewargs__(self):
+        return (self.labels,)
 
     def __len__(self):
         return len(self.labels)
@@ -82,10 +91,7 @@ class F2Matrix:
     """
 
     def __init__(self, rows, cols, bits):
-        if not isinstance(rows, LabeledSet):
-            rows = LabeledSet(rows)
-        if not isinstance(cols, LabeledSet):
-            cols = LabeledSet(cols)
+        rows, cols = LabeledSet(rows), LabeledSet(cols)
         bits = tuple(int(b) for b in bits)
         if len(bits) != len(rows):
             raise LabelMismatchError(
@@ -101,14 +107,9 @@ class F2Matrix:
 
     @classmethod
     def from_entries(cls, rows, cols, entries):
-        """Build from an iterable of (row_label, col_label) positions holding 1,
-        or a dict {(row_label, col_label): 0/1}."""
-        if not isinstance(rows, LabeledSet):
-            rows = LabeledSet(rows)
-        if not isinstance(cols, LabeledSet):
-            cols = LabeledSet(cols)
-        if isinstance(entries, dict):
-            entries = [k for k, v in entries.items() if v % 2]
+        """Build from an iterable of (row_label, col_label) positions; a
+        position listed twice cancels (entries live in F2)."""
+        rows, cols = LabeledSet(rows), LabeledSet(cols)
         bits = [0] * len(rows)
         for (r, c) in entries:
             if r not in rows:
@@ -150,16 +151,12 @@ class F2Matrix:
 
 
 def identity(obj):
-    if not isinstance(obj, LabeledSet):
-        obj = LabeledSet(obj)
+    obj = LabeledSet(obj)
     return F2Matrix(obj, obj, [1 << i for i in range(len(obj))])
 
 
 def zero(rows, cols):
-    if not isinstance(rows, LabeledSet):
-        rows = LabeledSet(rows)
-    if not isinstance(cols, LabeledSet):
-        cols = LabeledSet(cols)
+    rows = LabeledSet(rows)
     return F2Matrix(rows, cols, [0] * len(rows))
 
 
@@ -195,14 +192,10 @@ def compose(n, m):
 def apply(m, table):
     """Apply M to an F2 table on its columns; tables are support sets.
 
-    `table` may be a set/frozenset/iterable of column labels (the support) or
-    a dict {label: 0/1}.  Returns the support of M f as a frozenset of row
-    labels.
+    `table` is an iterable of column labels (the support).  Returns the
+    support of M f as a frozenset of row labels.
     """
-    if isinstance(table, dict):
-        support = {k for k, v in table.items() if v % 2}
-    else:
-        support = set(table)
+    support = set(table)
     unknown = support - set(m.cols.labels)
     if unknown:
         raise LabelMismatchError(
@@ -248,9 +241,7 @@ def tensor_power_finite(m, x):
     Over DEFAULT_ENTRY_CAP entries it raises SizeCapError; row and column
     labels word_label cannot tell apart raise LabelMismatchError.
     """
-    if not isinstance(x, LabeledSet):
-        x = LabeledSet(x)
-    n = len(x)
+    n = len(LabeledSet(x))
     n_rows = len(m.rows) ** n
     n_cols = len(m.cols) ** n
     if n_rows * n_cols > DEFAULT_ENTRY_CAP:

@@ -145,8 +145,8 @@ class DABimodule:
     in {i0, i1}.  terms: iterable of (x, inputs, output, y); duplicate terms
     cancel in pairs (coefficients live in F2).  Idempotent chaining along
     every term and acyclicity of the zero-input terms are validated.
-    `generators` and `sorted_terms` are sorted once here, so that the order
-    the generators come in never tells two bimodules apart.
+    `generators` and `terms` are sorted tuples, built once here, so that the
+    order the generators and terms come in never tells two bimodules apart.
     """
 
     def __init__(self, generators, terms):
@@ -166,15 +166,14 @@ class DABimodule:
         for (x, inputs, output, y) in terms:
             t = (str(x), tuple(inputs), str(output), str(y))
             bag ^= {t}
-        # validation, the per-source lists, certificate witnesses and
-        # serialization all read this one order
-        self.sorted_terms = tuple(sorted(bag))
-        for t in self.sorted_terms:
+        # validation, the per-source lists, certificate witnesses,
+        # serialization, equality and hashing all read this one order
+        self.terms = tuple(sorted(bag))
+        for t in self.terms:
             self._validate_term(t)
-        self.terms = frozenset(bag)
 
         self._by_source = {}
-        for t in self.sorted_terms:
+        for t in self.terms:
             self._by_source.setdefault(t[0], []).append(t)
         self._check_zero_input_cycles()
 
@@ -217,7 +216,7 @@ class DABimodule:
 
     def _check_zero_input_cycles(self):
         adj = {}
-        for (x, inputs, output, y) in self.sorted_terms:
+        for (x, inputs, output, y) in self.terms:
             if not inputs:
                 adj.setdefault(x, []).append(y)
         try:
@@ -468,10 +467,10 @@ def vanishing_certificate(p):
     unitlike = {UNIT}.union(a for a in alg.basis if alg.is_idempotent(a))
     witnesses = (
         ("P1-r2-output-needs-r2-input",
-         next((t for t in p.sorted_terms if t[2] == "r2" and "r2" not in t[1]), None)),
+         next((t for t in p.terms if t[2] == "r2" and "r2" not in t[1]), None)),
         ("P2-r2-product-needs-r2-operand", p2),
         ("P3-unit-output-needs-forbidden-input",
-         next((t for t in p.sorted_terms
+         next((t for t in p.terms
                if t[2] in unitlike and forbidden.isdisjoint(t[1])), None)),
         ("P4-idempotent-product-needs-idempotent-operand", p4),
     )
@@ -566,13 +565,13 @@ def derived_power_certificate(base, doublings):
             f"cannot derive a power certificate: the base certificate is "
             f"refused: {detail}", report=cert)
     closure = frozenset(cert["extended_fixpoint"])
-    bad = next((t for t in base.sorted_terms if not t[1] and t[2] == UNIT), None)
+    bad = next((t for t in base.terms if not t[1] and t[2] == UNIT), None)
     if bad is not None:
         raise CertificateError(
             f"cannot derive a power certificate: zero-input term {bad} outputs "
             f"the unit, so unit forwards would enter the spontaneous closure",
             report=cert)
-    bad = next((t for t in base.sorted_terms
+    bad = next((t for t in base.terms
                 if t[2] == UNIT and closure.issuperset(t[1])), None)
     if bad is not None:
         raise CertificateError(
@@ -672,7 +671,7 @@ def bimodule_to_dict(p):
         "generators": [{"name": g, "left": l, "right": r}
                        for (g, l, r) in p.generators],
         "terms": [{"x": x, "inputs": list(ins), "output": out, "y": y}
-                  for (x, ins, out, y) in p.sorted_terms],
+                  for (x, ins, out, y) in p.terms],
     }
 
 
@@ -728,7 +727,7 @@ def _bimodule_pieces(p):
         sep = ",\n    "
     yield ("\n  ]" if p.generators else "]") + ',\n  "terms": ['
     sep = "\n    "
-    for (x, ins, out, y) in p.sorted_terms:
+    for (x, ins, out, y) in p.terms:
         inputs = ("[\n        " + ",\n        ".join([_QUOTED_LABELS[a] for a in ins])
                   + "\n      ]" if ins else "[]")
         yield (f'{sep}{{\n      "inputs": {inputs},\n'
@@ -736,7 +735,7 @@ def _bimodule_pieces(p):
                f'      "x": {name[x]},\n'
                f'      "y": {name[y]}\n    }}')
         sep = ",\n    "
-    yield ("\n  ]" if p.sorted_terms else "]") + "\n}\n"
+    yield ("\n  ]" if p.terms else "]") + "\n}\n"
 
 
 def dumps_bimodule(p):

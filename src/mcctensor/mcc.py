@@ -19,6 +19,7 @@ module.
 from __future__ import annotations
 
 import math
+import os
 
 from . import towers as _tw
 from .errors import (CrossCheckError, DepthError, LabelMismatchError,
@@ -31,8 +32,7 @@ class MccWindow:
     """A depth-M F2 table on B^{X_M}, extended by zero beyond depth M."""
 
     def __init__(self, tower, basis, depth, support):
-        if not isinstance(basis, LabeledSet):
-            basis = LabeledSet(basis)
+        basis = LabeledSet(basis)
         tower.level(depth)  # raises DepthError when out of range
         size = tower.size(depth)
         letters = frozenset(basis.labels)
@@ -87,7 +87,7 @@ class MccWindow:
     def __add__(self, other):
         if not isinstance(other, MccWindow):
             return NotImplemented
-        if self.tower is not other.tower or self.basis != other.basis:
+        if self.tower != other.tower or self.basis != other.basis:
             raise LabelMismatchError("window sum needs one tower and one basis")
         d = max(self.depth, other.depth)
         return MccWindow(self.tower, self.basis, d,
@@ -96,7 +96,7 @@ class MccWindow:
     def __eq__(self, other):
         if not isinstance(other, MccWindow):
             return NotImplemented
-        if self.tower is not other.tower or self.basis != other.basis:
+        if self.tower != other.tower or self.basis != other.basis:
             return False
         d = max(self.depth, other.depth)
         return self.at_depth(d).support == other.at_depth(d).support
@@ -209,10 +209,8 @@ class LazyTower:
     element is probed.  Each level's window is built, and checked, once."""
 
     def __init__(self, tower, basis, generator, name=None):
-        if not isinstance(basis, LabeledSet):
-            basis = LabeledSet(basis)
         self.tower = tower
-        self.basis = basis
+        self.basis = LabeledSet(basis)
         self.generator = generator
         self.name = name
         self._windows = {}
@@ -325,7 +323,10 @@ def odd_spike_series(tower, x="x", y="y"):
 _WINDOW_HEADERS = ("tower:", "basis:", "depth:")
 
 
-def parse_window(text, tower=None, tower_loader=None):
+def parse_window(text, base_dir="."):
+    """The window of a window text.  Its tower: header is the one source of
+    its tower (towers.tower_from_reference, a 'file' path relative to
+    `base_dir`)."""
     tower_ref = None
     basis = None
     depth = None
@@ -340,6 +341,7 @@ def parse_window(text, tower=None, tower_loader=None):
             continue
         if head == "depth":
             depth = int_field(line, lineno, "depth: needs an integer")
+            depth_line = lineno
             continue
         parts = line.split()
         if len(parts) != 2:
@@ -351,19 +353,20 @@ def parse_window(text, tower=None, tower_loader=None):
         raise ParseError("window file needs a basis: header", line=1)
     if depth is None:
         raise ParseError("window file needs a depth: header", line=1)
-    if tower is None:
-        if tower_ref is None:
-            raise ParseError("window file needs a tower: header", line=1)
-        loader = tower_loader or _tw.tower_from_reference
-        try:
-            tower = loader(tower_ref)
-        except (ParseError, TowerValidationError) as e:
-            if getattr(e, "line", None) is not None:  # a line of a tower file
-                raise
-            raise ParseError(f"line {tower_line}: {e}", line=tower_line) from None
+    if tower_ref is None:
+        raise ParseError("window file needs a tower: header", line=1)
+    try:
+        tower = _tw.tower_from_reference(tower_ref, base_dir)
+    except (ParseError, TowerValidationError) as e:
+        if getattr(e, "line", None) is not None:  # a line of a tower file
+            raise
+        raise ParseError(f"line {tower_line}: {e}", line=tower_line) from None
+    try:
+        size = tower.size(depth)
+    except DepthError as e:
+        raise ParseError(f"line {depth_line}: {e}", line=depth_line) from None
 
     single = all(len(b) == 1 for b in basis)
-    size = tower.size(depth)
     support = set()
     for lineno, word_s, val_s in word_lines:
         if val_s not in ("0", "1"):
@@ -412,20 +415,7 @@ def dump_window(window):
 
 
 def load_window(path):
-    import os
-
+    """The window in the file at `path`; a 'file' tower is found relative to
+    the window's directory."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-
-    def loader(ref):
-        if ref.startswith("file "):
-            tpath = ref[len("file "):].strip()
-            if not os.path.isabs(tpath):
-                tpath = os.path.join(os.path.dirname(os.path.abspath(path)), tpath)
-            with open(tpath, "r", encoding="utf-8") as th:
-                tower = _tw.parse_tower(th.read())
-            tower.name = "file " + os.path.abspath(tpath)
-            return tower
-        return _tw.tower_from_reference(ref)
-
-    return parse_window(text, tower_loader=loader)
+        return parse_window(fh.read(), os.path.dirname(os.path.abspath(path)))

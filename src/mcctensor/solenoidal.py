@@ -35,10 +35,7 @@ class GraphBasis:
     with source and target maps.  Loops and parallel edges are welcome."""
 
     def __init__(self, idempotents, edges, s, t):
-        if not isinstance(idempotents, LabeledSet):
-            idempotents = LabeledSet(idempotents)
-        if not isinstance(edges, LabeledSet):
-            edges = LabeledSet(edges)
+        idempotents, edges = LabeledSet(idempotents), LabeledSet(edges)
         for e in edges.labels:
             if e not in s or e not in t:
                 raise LabelMismatchError(f"edge {e!r} is missing a source or target")

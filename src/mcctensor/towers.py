@@ -24,6 +24,7 @@ depend on the level.
 from __future__ import annotations
 
 import itertools
+import os
 import re
 from operator import itemgetter
 
@@ -111,11 +112,13 @@ class DyadicTower:
         distinguished shift S.
     name : optional reference that loads the tower again, as a window
         file's tower: header writes it ('dyadic 3', 'file /abs/t.txt').
+
+    Two towers are equal when their levels, projections, named generators
+    and shift are equal, however each was built; the name is left out.
     """
 
     def __init__(self, level_sets, projections, generators, shift=None, name=None):
-        self.levels = [ls if isinstance(ls, LabeledSet) else LabeledSet(ls)
-                       for ls in level_sets]
+        self.levels = [LabeledSet(ls) for ls in level_sets]
         if not self.levels:
             raise TowerValidationError("a tower needs at least one level")
         if len(projections) != len(self.levels) - 1:
@@ -327,6 +330,18 @@ class DyadicTower:
                     if any(s[g[i]] != g[s[i]] for i in range(len(s))):
                         raise TowerValidationError(
                             f"shift does not commute with generator {gname!r} at level {m}")
+
+    def _structure(self):
+        return (tuple(self.levels), tuple(self.child_to_parent),
+                tuple(self.gens.items()), self.shift)
+
+    def __eq__(self, other):
+        if not isinstance(other, DyadicTower):
+            return NotImplemented
+        return self is other or self._structure() == other._structure()
+
+    def __hash__(self):
+        return hash(self._structure())
 
     def __repr__(self):
         nm = f" {self.name!r}" if self.name else ""
@@ -605,8 +620,17 @@ def dump_tower(tower):
     return "\n".join(lines) + "\n"
 
 
-def tower_from_reference(ref):
-    """Resolve a tower reference: 'dyadic L' / 'dyadic L xK' built-ins."""
+def tower_from_reference(ref, base_dir="."):
+    """Resolve a tower reference: the built-ins 'dyadic L' / 'dyadic L xK',
+    or 'file PATH', the tower text at PATH relative to `base_dir`, named
+    'file' plus its absolute path."""
+    ref = ref.strip()
+    if ref.startswith("file "):
+        path = os.path.abspath(os.path.join(base_dir, ref[len("file "):].strip()))
+        with open(path, encoding="utf-8") as fh:
+            tower = parse_tower(fh.read())
+        tower.name = "file " + path
+        return tower
     found = re.fullmatch(r"dyadic (-?\d+)(?: x(-?\d+))?", " ".join(ref.split()))
     if found:
         return dyadic_solenoid(int(found[1]), copies=int(found[2] or 1))

@@ -72,7 +72,6 @@ CASES = {
     "error-hh-box-power7-over-cap": (["hh", "box", "--power", "7"], None),
     "error-hh-box-power8-over-cap": (["hh", "box", "--power", "8"], None),
     "error-box-box-box-power4-over-cap": (["box", "box", "box", "--power", "4"], None),
-    "error-dims-two-formats": (["dims", "fig8", "2", "csv", "--format", "json"], None),
     "error-dims-level-out-of-range": (["dims", "fig8", "4"], None),
     "error-mcc-apply-parse": (["mcc", "apply", "<tmp>/bad.mat", "<tmp>/win.txt"], None),
     # exit 1: a failed internal cross-check

@@ -77,7 +77,7 @@ def test_verify_depth_cap_zero(capsys):
 
 
 def test_dims_csv_golden_rows(capsys):
-    code, out = run(capsys, "dims", "fig8", "2", "--format", "csv")
+    code, out = run(capsys, "dims", "fig8", "2", "csv")
     assert code == 0
     assert out == "0,5\n1,9\n2,49\n"
 
@@ -86,17 +86,6 @@ def test_dims_csv_positional_format(capsys):
     code, out = run(capsys, "dims", "fig8", "2", "csv")
     assert code == 0
     assert out == "0,5\n1,9\n2,49\n"
-
-
-def test_dims_format_given_both_ways(capsys):
-    code, out = run(capsys, "dims", "fig8", "2", "csv", "--format", "csv")
-    assert code == 0 and out == "0,5\n1,9\n2,49\n"
-    for fmt, flag in (("csv", "json"), ("json", "csv")):
-        code, rep = run_json(capsys, "dims", "fig8", "2", fmt, "--format", flag)
-        assert code == 2 and rep["ok"] is False
-        assert rep["error"]["type"] == "MccError"
-        assert repr(fmt) in rep["error"]["message"]
-        assert repr(flag) in rep["error"]["message"]
 
 
 def test_dims_json_bridges_both_paths(capsys):

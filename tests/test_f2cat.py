@@ -37,6 +37,11 @@ def test_labeled_set_rejects_duplicates():
         LabeledSet(["a", "a"])
 
 
+def test_labeled_set_passes_itself_through():
+    assert LabeledSet(AB) is AB
+    assert F2Matrix(AB, AB, [1, 2]).rows is AB
+
+
 def test_word_label_single_characters_concatenate():
     assert word_label(("x", "y", "x")) == "xyx"
     assert word_label(("e1", "e2")) == "e1,e2"
@@ -83,11 +88,6 @@ def test_entry_and_to_lists():
     assert m.entry("a", "a") == 1
     assert m.entry("a", "b") == 0
     assert m.to_lists() == [[1, 0], [1, 1]]
-
-
-def test_from_entries_dict_mod_2():
-    m = F2Matrix.from_entries(AB, AB, {("a", "a"): 1, ("a", "b"): 2, ("b", "b"): 3})
-    assert m.to_lists() == [[1, 0], [0, 1]]
 
 
 def test_compose_oracle():

@@ -111,8 +111,8 @@ def test_bimodule_validation_terms():
 def test_bimodule_duplicate_terms_cancel():
     gens = [("a", "i0", "i0"), ("b", "i0", "i0")]
     t = ("a", ("r12",), "r12", "b")
-    assert make(gens, [t, t]).terms == frozenset()
-    assert make(gens, [t, t, t]).terms == {t}
+    assert make(gens, [t, t]).terms == ()
+    assert make(gens, [t, t, t]).terms == (t,)
 
 
 def test_bimodule_zero_input_cycle_rejected():
@@ -346,15 +346,15 @@ def test_structure_equation_holds_on_the_seeds_and_box_powers():
 
 def test_structure_equation_fails_without_the_first_box_term():
     box = seed_box()
-    assert box.sorted_terms[0] == ("p|f", (), "r3", "r|f")
-    broken = DABimodule(box.generators, box.sorted_terms[1:])
+    assert box.terms[0] == ("p|f", (), "r3", "r|f")
+    broken = DABimodule(box.generators, box.terms[1:])
     assert structure_defect(broken)[0] == ("p|f", ("r123", "r2", "r12"), "r123", "r|f")
 
 
 def test_structure_equation_fails_without_any_one_term():
     for p in (cfda_tb_inv(), cfda_ta(), seed_box(), box_power(seed_box(), 2)):
-        for t in p.sorted_terms:
-            rest = [u for u in p.sorted_terms if u != t]
+        for t in p.terms:
+            rest = [u for u in p.terms if u != t]
             assert structure_defect(DABimodule(p.generators, rest)) != [], t
 
 

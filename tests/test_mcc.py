@@ -323,11 +323,10 @@ def test_cc_probe_odd_series():
 
 def test_window_text_roundtrip():
     w = win(2, "xyxy", "xxxy")
-    back = parse_window(dump_window(w), tower=TOWER)
+    back = parse_window(dump_window(w))
     assert back == w and back.depth == w.depth
-    # the dumped reference resolves to an equivalent standalone tower
-    alone = parse_window(dump_window(w))
-    assert alone.support == w.support
+    # the dumped reference builds a new tower, equal by structure
+    assert back.tower is not TOWER and back.tower == TOWER
 
 
 def test_window_text_multichar_labels():
@@ -335,7 +334,7 @@ def test_window_text_multichar_labels():
     w = MccWindow(TOWER, basis, 1, {("e1", "e2")})
     text = dump_window(w)
     assert "e1,e2 1" in text
-    assert parse_window(text, tower=TOWER) == w
+    assert parse_window(text) == w
 
 
 def token_label(label, banned):
@@ -360,7 +359,7 @@ def labeled_windows(draw):
 @settings(max_examples=200, deadline=None)
 @given(labeled_windows())
 def test_window_text_round_trips(w):
-    back = parse_window(dump_window(w), tower=TOWER)
+    back = parse_window(dump_window(w))
     assert back == w and back.depth == w.depth and back.basis == w.basis
 
 
@@ -379,7 +378,7 @@ def test_window_dump_refuses_labels_that_alias(basis, bad):
 def test_window_dump_refuses_words_that_read_as_headers():
     letters = list("tower:")
     w = MccWindow(TOWER, letters, 1, {("t", "o")})
-    assert parse_window(dump_window(w), tower=TOWER) == w
+    assert parse_window(dump_window(w)) == w
     with pytest.raises(LabelMismatchError, match="'tower:tt'"):
         dump_window(MccWindow(TOWER, letters, 3, {tuple("tower:tt")}))
     with pytest.raises(LabelMismatchError, match="'depth:,e'"):
@@ -402,32 +401,49 @@ def test_window_dump_names_a_file_tower_by_its_absolute_path(tmp_path, dirname):
         dump_window(w)
 
 
+def test_window_over_a_file_tower_parses_back_from_its_dump(tmp_path):
+    (tmp_path / "t.txt").write_text(dump_tower(dyadic_solenoid(2)))
+    (tmp_path / "w.txt").write_text("tower: file t.txt\nbasis: x y\ndepth: 2\nxyxy 1\n")
+    w = load_window(str(tmp_path / "w.txt"))
+    back = parse_window(dump_window(w))
+    assert back == w and back.tower.name == w.tower.name
+    # a relative path is read from base_dir
+    assert parse_window((tmp_path / "w.txt").read_text(), str(tmp_path)) == w
+
+
 def test_window_text_xor_semantics():
-    w = parse_window("basis: x y\ndepth: 1\nxy 1\nxy 1\n", tower=TOWER)
+    w = parse_window("tower: dyadic 3\nbasis: x y\ndepth: 1\nxy 1\nxy 1\n")
     assert w.is_zero()
-    w = parse_window("basis: x y\ndepth: 1\nxy 1\nxy 0\n", tower=TOWER)
+    w = parse_window("tower: dyadic 3\nbasis: x y\ndepth: 1\nxy 1\nxy 0\n")
     assert w.support == {("x", "y")}
 
 
 def test_window_parse_errors():
     with pytest.raises(ParseError):
-        parse_window("depth: 1\nxy 1\n", tower=TOWER)  # no basis
+        parse_window("tower: dyadic 3\ndepth: 1\nxy 1\n")  # no basis
     with pytest.raises(ParseError):
-        parse_window("basis: x y\nxy 1\n", tower=TOWER)  # no depth
+        parse_window("tower: dyadic 3\nbasis: x y\nxy 1\n")  # no depth
     with pytest.raises(ParseError):
         parse_window("basis: x y\ndepth: 1\n")  # no tower anywhere
     with pytest.raises(ParseError) as e:
-        parse_window("basis: x y\ndepth: 1\nxy 2\n", tower=TOWER)
-    assert e.value.line == 3
-    with pytest.raises(ParseError):
-        parse_window("basis: x y\ndepth: 1\nxyx 1\n", tower=TOWER)
-    with pytest.raises(ParseError):
-        parse_window("basis: x y\ndepth: 1\nxz 1\n", tower=TOWER)
-    with pytest.raises(ParseError):
-        parse_window("basis: x y\ndepth: one\n", tower=TOWER)
-    with pytest.raises(ParseError, match="repeated header 'depth'") as e:
-        parse_window("basis: x y\ndepth: 1\nxy 1\ndepth: 2\n", tower=TOWER)
+        parse_window("tower: dyadic 3\nbasis: x y\ndepth: 1\nxy 2\n")
     assert e.value.line == 4
+    with pytest.raises(ParseError):
+        parse_window("tower: dyadic 3\nbasis: x y\ndepth: 1\nxyx 1\n")
+    with pytest.raises(ParseError):
+        parse_window("tower: dyadic 3\nbasis: x y\ndepth: 1\nxz 1\n")
+    with pytest.raises(ParseError):
+        parse_window("tower: dyadic 3\nbasis: x y\ndepth: one\n")
+    with pytest.raises(ParseError, match="repeated header 'depth'") as e:
+        parse_window("tower: dyadic 3\nbasis: x y\ndepth: 1\nxy 1\ndepth: 2\n")
+    assert e.value.line == 5
+
+
+def test_window_depth_past_its_tower_is_refused_at_its_line():
+    with pytest.raises(ParseError) as e:
+        parse_window("tower: dyadic 1\nbasis: x y\ndepth: 3\n")
+    assert e.value.line == 3
+    assert str(e.value) == "line 3: level 3 out of range 0..1"
 
 
 @pytest.mark.parametrize("ref", ["dyadic x", "dyadic 2 xq"])

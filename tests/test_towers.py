@@ -248,6 +248,18 @@ def test_tower_text_roundtrip(tower):
     assert dump_tower(back) == text
 
 
+def test_towers_compare_by_structure():
+    t = dyadic_solenoid(3)
+    text = dump_tower(t)
+    back = parse_tower(text)
+    assert back == t and hash(back) == hash(t)
+    assert back.name is None and t.name == "dyadic 3"
+    assert t != dyadic_solenoid(2)
+    unshifted = parse_tower("".join(line for line in text.splitlines(keepends=True)
+                                    if not line.startswith("shift ")))
+    assert unshifted.shift is None and unshifted != t
+
+
 def test_tower_dump_refuses_unwritable_names():
     t = dyadic_solenoid(1)
     with pytest.raises(LabelMismatchError, match="level-1 label 'gen'"):
