@@ -27,12 +27,6 @@ from .errors import CertificateError, CrossCheckError, MccError
 MAX_DEPTH_CAP = 3
 
 
-def _plain(obj):
-    """json's fallback for a report value it cannot encode: a set as its
-    sorted list, anything else as its repr."""
-    return sorted(obj) if isinstance(obj, (set, frozenset)) else repr(obj)
-
-
 class Suite:
     """Collects named pass/fail checks with per-check timing."""
 
@@ -67,7 +61,7 @@ _CHECK_MS = re.compile(r'^(      "ms": )(\d+)', re.M)
 def _emit(report):
     checks = report.get("checks", [])
     report["ok"] = all(c["status"] == "pass" for c in checks)
-    text = json.dumps(report, indent=2, sort_keys=True, default=_plain)
+    text = json.dumps(report, indent=2, sort_keys=True)
     # right-align the timings, so that the report's size does not depend on
     # the clock; JSON allows the whitespace before a value
     print(_CHECK_MS.sub(lambda m: m.group(1) + m.group(2).rjust(MS_WIDTH), text))
@@ -162,7 +156,7 @@ def cmd_dims(args):
             return 0
     elif args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(table, fh, indent=2, sort_keys=True, default=_plain)
+            json.dump(table, fh, indent=2, sort_keys=True)
             fh.write("\n")
         artifacts.append(args.out)
 
@@ -318,7 +312,7 @@ def main(argv=None):
         error = {"type": type(e).__name__, "message": str(e)}
         code = 2
     report = {"command": getattr(args, "cmd", None), "ok": False, "error": error}
-    print(json.dumps(report, indent=2, sort_keys=True, default=_plain))
+    print(json.dumps(report, indent=2, sort_keys=True))
     return code
 
 

@@ -1,11 +1,10 @@
 """The torus algebra, type-DA bimodules over it, and box tensor powers.
 
-The algebra has eight basis elements in strands grading 0 — the idempotents
-i0, i1 and the chords r1, r2, r3, r12, r23, r123 — plus one idempotent in
-each of the gradings -1 (ie) and +1 (i01).  Multiplication concatenates
-chords (r1 r2 = r12, r2 r3 = r23, r1 r23 = r123, r12 r3 = r123), idempotents
-act by left/right matching, cross-grading products vanish, and the
-differential is identically zero.
+The algebra is the strands-grading-0 summand of the torus algebra, the one
+every generator of a type-DA bimodule sits over: eight basis elements, the
+idempotents i0, i1 and the chords r1, r2, r3, r12, r23, r123.
+Multiplication concatenates chords (r1 r2 = r12, r2 r3 = r23,
+r1 r23 = r123, r12 r3 = r123) and idempotents act by left/right matching.
 
 A DABimodule stores generators with (left, right) idempotents in {i0, i1}
 and a set of operation terms (x, inputs, output, y): one delta operation
@@ -33,26 +32,22 @@ from .errors import (CertificateError, ChainingError, CrossCheckError,
                      ZeroInputCycleError)
 
 RHO_LABELS = ("r1", "r2", "r3", "r12", "r23", "r123")
-IDEMPOTENT_LABELS = ("i0", "i1", "ie", "i01")
+IDEMPOTENT_LABELS = ("i0", "i1")
 UNIT = "1"
 
 FORBIDDEN_EDGE_LABELS = ("1", "i0", "i1", "r2")
 
 
 class TorusAlgebra:
-    """The pointed-torus strands algebra over F2 (see module docstring)."""
+    """The pointed-torus strands algebra over F2 in strands grading 0 (see
+    module docstring)."""
 
-    basis = ("i0", "i1", "r1", "r2", "r3", "r12", "r23", "r123", "ie", "i01")
+    basis = IDEMPOTENT_LABELS + RHO_LABELS
 
     _idem = {
         "i0": ("i0", "i0"), "i1": ("i1", "i1"),
         "r1": ("i0", "i1"), "r2": ("i1", "i0"), "r3": ("i0", "i1"),
         "r12": ("i0", "i0"), "r23": ("i1", "i1"), "r123": ("i0", "i1"),
-        "ie": ("ie", "ie"), "i01": ("i01", "i01"),
-    }
-    _grading = {
-        "i0": 0, "i1": 0, "r1": 0, "r2": 0, "r3": 0, "r12": 0, "r23": 0,
-        "r123": 0, "ie": -1, "i01": 1,
     }
     _products = {
         ("r1", "r2"): "r12",
@@ -67,9 +62,6 @@ class TorusAlgebra:
     def idem(self, a):
         return self._idem[a]
 
-    def grading(self, a):
-        return self._grading[a]
-
     def mult(self, a, b):
         """Product of two basis elements; None encodes zero."""
         if a not in self._idem or b not in self._idem:
@@ -80,55 +72,12 @@ class TorusAlgebra:
             return a if self._idem[a][1] == b else None
         return self._products.get((a, b))
 
-    def differential(self, a):
-        """The differential vanishes on the whole algebra."""
-        if a not in self._idem:
-            raise LabelMismatchError(f"unknown algebra label {a!r}")
-        return ()
 
-
-_TORUS = None
-
-
-def _check_torus(alg):
-    """Structure self-checks: idempotent action, zero differential, grading
-    separation and associativity over every basis triple."""
-    for a in alg.basis:
-        l, r = alg.idem(a)
-        la, ar = alg.mult(l, a), alg.mult(a, r)
-        if la != a or ar != a:
-            raise CrossCheckError(
-                f"idempotents ({l}, {r}) do not fix {a!r}",
-                values={"element": a, "left_product": la, "right_product": ar})
-        if alg.differential(a) != ():
-            raise CrossCheckError(
-                f"differential of {a!r} is not zero",
-                values={"element": a, "differential": list(alg.differential(a))})
-        for b in alg.basis:
-            ab = alg.mult(a, b)
-            if ab is not None and not (
-                    alg.grading(a) == alg.grading(b) == alg.grading(ab)):
-                raise CrossCheckError(
-                    f"product {a!r}*{b!r} = {ab!r} mixes gradings",
-                    values={"operands": [a, b], "product": ab,
-                            "gradings": [alg.grading(x) for x in (a, b, ab)]})
-            for c in alg.basis:
-                left = alg.mult(ab, c) if ab is not None else None
-                bc = alg.mult(b, c)
-                right = alg.mult(a, bc) if bc is not None else None
-                if left != right:
-                    raise CrossCheckError(
-                        f"associativity fails on {(a, b, c)}",
-                        values={"triple": [a, b, c], "(ab)c": left, "a(bc)": right})
+_TORUS = TorusAlgebra()
 
 
 def torus_algebra():
-    """The (cached) torus algebra, revalidated on first construction."""
-    global _TORUS
-    if _TORUS is None:
-        alg = TorusAlgebra()
-        _check_torus(alg)
-        _TORUS = alg
+    """The torus algebra, one instance shared by every caller."""
     return _TORUS
 
 
@@ -152,7 +101,7 @@ class DABimodule:
     def __init__(self, generators, terms):
         gens = []
         for (gname, left, right) in generators:
-            if left not in ("i0", "i1") or right not in ("i1", "i0"):
+            if left not in IDEMPOTENT_LABELS or right not in IDEMPOTENT_LABELS:
                 raise ChainingError(
                     f"generator {gname!r} needs idempotents in {{i0, i1}}, "
                     f"got ({left!r}, {right!r})")
@@ -310,7 +259,7 @@ def _box_lift(m_gens, m_terms_from, n_gens, n_terms_from):
     then right generator, then the left generator's terms."""
     gens = box_generators(m_gens, n_gens)
     gen_names = {g for (g, _, _) in gens}
-    right_of = {l: [yn for (yn, yl, _) in n_gens if yl == l] for l in ("i0", "i1")}
+    right_of = {l: [yn for (yn, yl, _) in n_gens if yl == l] for l in IDEMPOTENT_LABELS}
     terms = []
     for (xn, _, xr) in m_gens:
         left_terms = m_terms_from(xn)
@@ -751,8 +700,14 @@ def write_bimodule(p, fh):
 
 
 def load_bimodule(path):
+    """The bimodule in the JSON file at `path`; a document nested too deeply
+    for json to read raises MccError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return bimodule_from_dict(json.load(fh))
+        try:
+            document = json.load(fh)
+        except RecursionError:
+            raise MccError(f"bimodule JSON {path!r} is nested too deeply to read") from None
+    return bimodule_from_dict(document)
 
 
 def golden_box_text():

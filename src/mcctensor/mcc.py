@@ -386,24 +386,24 @@ def parse_window(text, base_dir="."):
 
 
 def dump_window(window):
-    """The window text of `window`, headed by its tower's reference when the
-    tower has one; a label, word or reference the text cannot carry raises
-    LabelMismatchError naming it."""
+    """The window text of `window`, headed by its tower's reference; a tower
+    without a reference, or a label, word or reference the text cannot
+    carry, raises LabelMismatchError naming it."""
     labels = window.basis.labels
     require_token_labels(labels, "basis")
     require_word_labels(labels, "basis")
     single = all(len(b) == 1 for b in labels)
-    lines = []
     name = window.tower.name
-    if name is not None:
-        line = f"tower: {name}"
-        if [value.strip() for _, _, value in lex_lines(line, _WINDOW_HEADERS)] != [name]:
-            raise LabelMismatchError(
-                f"tower reference {name!r} cannot be written in the text format: "
-                f"its tower: line would not read back")
-        lines.append(line)
-    lines.append("basis: " + " ".join(labels))
-    lines.append(f"depth: {window.depth}")
+    if name is None:
+        raise LabelMismatchError(
+            "the window's tower has no reference (such as 'dyadic 3' or "
+            "'file PATH'), so its text would have no tower: line")
+    line = f"tower: {name}"
+    if [value.strip() for _, _, value in lex_lines(line, _WINDOW_HEADERS)] != [name]:
+        raise LabelMismatchError(
+            f"tower reference {name!r} cannot be written in the text format: "
+            f"its tower: line would not read back")
+    lines = [line, "basis: " + " ".join(labels), f"depth: {window.depth}"]
     for w in sorted(window.support):
         word = "".join(w) if single else ",".join(w)
         if word.startswith(_WINDOW_HEADERS):

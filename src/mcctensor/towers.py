@@ -416,12 +416,14 @@ def invariance_level_table(tower, support, m):
     """Smallest h with the F2 table (a support set of level-m words) fixed
     by the induced K(m, h) action on words.  A permutation maps a finite
     set into itself iff onto itself, so the table is invariant under the
-    kernel iff each generator's gather maps the support into it."""
+    kernel iff each generator's gather maps the support into it.  K(m, m)
+    is trivial, so the search ends by h = m; a level m outside the tower
+    raises DepthError."""
+    tower.level(m)
     support = frozenset(support)
     for h in range(m + 1):
         if all(support.issuperset(map(g, support)) for g in kernel_gathers(tower, m, h)):
             return h
-    return m
 
 
 def _invariance_witness(tower, support, m, h):
@@ -524,6 +526,7 @@ def parse_tower(text):
     projections = {}
     gen_lines = {}
     shift_lines = {}
+    blocks = []  # (line, head, level, least level the keyword allows)
     current_proj = None
     for lineno, head, rest in lex_lines(text, _TOWER_HEADERS):
         if head is None:
@@ -544,10 +547,12 @@ def parse_tower(text):
         current_proj = None
         if keyword == "levels":
             n_levels = int_field(rest, lineno, "levels: needs an integer")
-        elif keyword == "level":
-            level_sets[int_field(arg, lineno, "bad level header")] = rest.split()
+            continue
+        if keyword == "level":
+            m = int_field(arg, lineno, "bad level header")
+            level_sets[m] = rest.split()
         elif keyword == "proj":
-            current_proj = int_field(arg, lineno, "bad proj header")
+            m = current_proj = int_field(arg, lineno, "bad proj header")
             projections[current_proj] = {}
             if rest.strip():
                 raise ParseError(
@@ -559,10 +564,16 @@ def parse_tower(text):
             m = int_field(parts[2], lineno, "bad gen level")
             gen_lines.setdefault(parts[1], {})[m] = (rest, lineno)
         else:
-            shift_lines[int_field(arg, lineno, "bad shift level")] = (rest, lineno)
+            m = int_field(arg, lineno, "bad shift level")
+            shift_lines[m] = (rest, lineno)
+        blocks.append((lineno, head, m, 1 if keyword == "proj" else 0))
 
     if n_levels is None:
         raise ParseError("tower file needs a levels: header", line=1)
+    for lineno, head, m, least in blocks:
+        if not least <= m < n_levels:
+            raise ParseError(f"line {lineno}: {head!r} names no level of this tower "
+                             f"(levels: {n_levels})", line=lineno)
     try:
         sets = [level_sets[m] for m in range(n_levels)]
     except KeyError as e:
@@ -627,8 +638,12 @@ def tower_from_reference(ref, base_dir="."):
     ref = ref.strip()
     if ref.startswith("file "):
         path = os.path.abspath(os.path.join(base_dir, ref[len("file "):].strip()))
-        with open(path, encoding="utf-8") as fh:
-            tower = parse_tower(fh.read())
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as e:
+            raise ParseError(str(e)) from None
+        tower = parse_tower(text)
         tower.name = "file " + path
         return tower
     found = re.fullmatch(r"dyadic (-?\d+)(?: x(-?\d+))?", " ".join(ref.split()))

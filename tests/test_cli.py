@@ -148,6 +148,13 @@ def test_box_power_two(capsys):
     assert rep["result"]["generators"] == 13 and rep["result"]["terms"] == 105
 
 
+def test_box_power_three(capsys):
+    # an odd power runs box_power's multiply step
+    code, rep = run_json(capsys, "box", "tb_inv", "ta", "--power", "3")
+    assert code == 0
+    assert rep["result"]["generators"] == 34 and rep["result"]["terms"] == 630
+
+
 def refuse(*args):
     raise AssertionError("box must not hold the whole artifact text")
 
@@ -241,6 +248,22 @@ def test_hh_accepts_a_long_zero_input_chain(capsys, tmp_path):
     assert rep["result"]["certificate"]["fixpoint"] == ["r12"]
 
 
+def test_hh_deeply_nested_json_exits_2(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code, rep = run_json(capsys, "hh", str(deep))
+    assert code == 2
+    assert rep["error"] == {"type": "MccError",
+                            "message": f"bimodule JSON {str(deep)!r} is nested too "
+                                       f"deeply to read"}
+
+
+def test_emit_refuses_a_value_json_cannot_encode():
+    # a report holds plain JSON types only; anything else fails loudly
+    with pytest.raises(TypeError, match="set"):
+        mcctensor.cli._emit({"checks": [], "result": {"x"}})
+
+
 def write_swap_fixtures(tmp_path):
     mat = tmp_path / "swap.mat"
     mat.write_text("rows: x y\ncols: x y\n0 1\n1 0\n")
@@ -304,6 +327,18 @@ def test_mcc_apply_bad_tower_header(capsys, tmp_path, ref):
     assert rep["error"] == {
         "type": "ParseError",
         "message": f"line 1: unknown tower reference {ref!r} (expected e.g. 'dyadic 3')"}
+
+
+def test_mcc_apply_missing_tower_file_names_its_line(capsys, tmp_path):
+    mat, _ = write_swap_fixtures(tmp_path)
+    win = tmp_path / "w.txt"
+    win.write_text("# no such tower\ntower: file nope.txt\nbasis: x y\ndepth: 1\nxy 1\n")
+    code, rep = run_json(capsys, "mcc", "apply", mat, str(win))
+    assert code == 2
+    missing = str(tmp_path / "nope.txt")
+    assert rep["error"] == {
+        "type": "ParseError",
+        "message": f"line 2: [Errno 2] No such file or directory: {missing!r}"}
 
 
 def test_mcc_apply_refuses_an_over_cap_tower(capsys, tmp_path):

@@ -19,7 +19,7 @@ from mcctensor.mcc import (LazyTower, MccWindow, apply_mcc, cc_probe,
                            dump_window, load_window, odd_spike_series,
                            parse_window, single_spike_series, staircase_position,
                            symmetrized_series)
-from mcctensor.towers import dump_tower, dyadic_solenoid
+from mcctensor.towers import dump_tower, dyadic_solenoid, parse_tower
 
 TOWER = dyadic_solenoid(3)
 XY = LabeledSet(["x", "y"])
@@ -398,6 +398,14 @@ def test_window_dump_names_a_file_tower_by_its_absolute_path(tmp_path, dirname):
         assert dump_window(w).startswith(f"tower: {w.tower.name}\n")
         return
     with pytest.raises(LabelMismatchError, match="tower reference .*a#b"):
+        dump_window(w)
+
+
+def test_window_dump_refuses_a_tower_without_a_reference():
+    # a parsed tower text carries no reference, so no tower: line could
+    # name it and the dump would not parse back
+    w = MccWindow(parse_tower(dump_tower(dyadic_solenoid(1))), ["x", "y"], 1, {("x", "y")})
+    with pytest.raises(LabelMismatchError, match="no reference"):
         dump_window(w)
 
 

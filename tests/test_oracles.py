@@ -37,7 +37,7 @@ import json
 import math
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mcctensor.errors import (ChainingError, InvarianceError, LabelMismatchError,
                               MccError, ParseError, ZeroInputCycleError)
@@ -896,9 +896,24 @@ def test_saturated_derived_fixpoints_match_the_full_squaring(k, most):
             loop[:d + 1]
 
 
+def squares_without_name_collisions(p, doublings):
+    """Whether P^(2^d) names its generators one way each, d = 1..doublings."""
+    gens = p.generators
+    try:
+        for _ in range(doublings):
+            gens = box_generators(gens, gens)
+    except LabelMismatchError:
+        return False
+    return True
+
+
 @settings(max_examples=100, deadline=None)
 @given(renamed_boxes(), st.integers(0, 3))
 def test_saturated_derived_fixpoints_match_on_renamed_boxes(p, d):
+    # names holding "|" can spell one product name two ways, and such a
+    # square is refused (test_box_generator_names_two_pairs_share_are_refused);
+    # the loop oracle needs every square through d to exist
+    assume(squares_without_name_collisions(p, d))
     assert derived_power_certificate(p, d)["fixpoint_by_doubling"] == \
         loop_derived_fixpoints(p, d)
 

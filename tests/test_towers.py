@@ -75,6 +75,12 @@ def test_invariance_level_table_examples(tower):
     assert invariance_level_table(tower, set(), 2) == 0
 
 
+@pytest.mark.parametrize("m", [-1, 4])
+def test_invariance_level_refuses_a_level_outside_the_tower(tower, m):
+    with pytest.raises(DepthError):
+        invariance_level_table(tower, set(), m)
+
+
 def test_invariance_level_table_monotone_under_closure(tower):
     rng = random.Random(5)
     for _ in range(40):
@@ -292,6 +298,15 @@ def test_tower_parse_errors():
     with pytest.raises(ParseError, match="child 'a' is already projected on line 5") as e:
         parse_tower(text)
     assert e.value.line == 9
+
+
+@pytest.mark.parametrize("block", ["level 5: q", "proj 2:", "proj 0:", "gen s 2: ()",
+                                   "shift 7: ()", "level -1: q"])
+def test_tower_blocks_past_levels_are_refused_at_their_line(block):
+    text = dump_tower(dyadic_solenoid(1))
+    with pytest.raises(ParseError, match="names no level of this tower") as e:
+        parse_tower(text + block + "\n")
+    assert e.value.line == len(text.splitlines()) + 1
 
 
 @pytest.mark.parametrize("max_level, copies, over", [(30, 1, 14), (2, 9999, 1),
